@@ -13,7 +13,6 @@ from .calibration import (
     evaluate_loss,
 )
 from .domain import (
-    AgentState,
     MoneyEur,
     ScenarioParams,
     SimulationResult,
@@ -29,15 +28,11 @@ from .economics import (
     net_present_value,
 )
 from .engine import (
-    AgentPopulation,
     MonteCarloSummary,
-    SimulationState,
     YearStats,
     adoption_probability,
-    initialize_state,
     run_monte_carlo,
     run_simulation,
-    step_year,
 )
 from .io import (
     LoadedScenario,
@@ -52,8 +47,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentPopulation",
-    "AgentState",
     "CalibrationResult",
     "CalibrationTarget",
     "LoadedScenario",
@@ -61,7 +54,6 @@ __all__ = [
     "MonteCarloSummary",
     "ScenarioParams",
     "SimulationResult",
-    "SimulationState",
     "YearRecord",
     "YearSeries",
     "YearStats",
@@ -73,7 +65,6 @@ __all__ = [
     "economic_utility",
     "errors",
     "evaluate_loss",
-    "initialize_state",
     "load_default_scenario",
     "load_scenario",
     "net_present_value",
@@ -82,6 +73,5 @@ __all__ = [
     "round_half_up",
     "run_monte_carlo",
     "run_simulation",
-    "step_year",
     "write_result",
 ]

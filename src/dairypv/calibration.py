@@ -14,12 +14,12 @@ evaluation order even if grid points were evaluated concurrently.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import require_finite
-from .engine import run_simulation
+from .engine import deterministic_curve, representative_utilities
 from .errors import CalibrationFailedError, ValidationError
 
 ALPHA_BOUNDS = (1e-3, 100.0)
@@ -108,17 +108,8 @@ def evaluate_loss(candidate, params, prices, subsidies, target):
     """
     alpha, beta = candidate
     _check_bounds(alpha, beta)
-    run_params = replace(
-        params, alpha=alpha, beta=beta, mode="deterministic",
-        adoption_semantics="hazard", seed=None,
-    )
-    result = run_simulation(run_params, prices, subsidies)
-    simulated = result.cumulative_by_year()
-    total = 0.0
-    for year, observed in target.observations:
-        diff = simulated[year] - observed
-        total += diff * diff if target.loss == "squared_error" else abs(diff)
-    return total
+    target.validate_against(params)
+    return _Objective(params, prices, subsidies, target, budget=1).loss(alpha, beta)
 
 
 def _clamp(value, lo, hi):
@@ -126,10 +117,18 @@ def _clamp(value, lo, hi):
 
 
 class _Objective:
-    """Budget-counting wrapper around evaluate_loss in log10 coordinates."""
+    """Budget-counting loss in log10 coordinates.
+
+    The midpoint-cost utilities do not depend on (alpha, beta), so they are
+    computed once; each evaluation reruns only the hazard recurrence.
+    """
 
     def __init__(self, params, prices, subsidies, target, budget):
-        self._args = (params, prices, subsidies, target)
+        self._utilities = representative_utilities(params, prices, subsidies)
+        self._total = params.total_farmers
+        self._observed = [(year - params.start_year, value)
+                          for year, value in target.observations]
+        self._squared = target.loss == "squared_error"
         self.budget = budget
         self.evaluations = 0
 
@@ -137,12 +136,20 @@ class _Objective:
     def exhausted(self):
         return self.evaluations >= self.budget
 
+    def loss(self, alpha, beta):
+        _, _, cumulative = deterministic_curve(
+            self._utilities, alpha, beta, self._total, "hazard")
+        total = 0.0
+        for index, observed in self._observed:
+            diff = cumulative[index] - observed
+            total += diff * diff if self._squared else abs(diff)
+        return total
+
     def __call__(self, log_alpha, log_beta):
         alpha = _clamp(10.0**log_alpha, *ALPHA_BOUNDS)
         beta = _clamp(10.0**log_beta, *BETA_BOUNDS)
         self.evaluations += 1
-        loss = evaluate_loss((alpha, beta), *self._args)
-        return loss, alpha, beta
+        return self.loss(alpha, beta), alpha, beta
 
 
 def _explore(objective, point, value, step):
@@ -229,7 +236,7 @@ def calibrate(params, prices, subsidies, target, budget=2000):
     grid = []
     for alpha in alphas:
         for beta in betas:
-            loss = evaluate_loss((float(alpha), float(beta)), params, prices, subsidies, target)
+            loss = objective.loss(float(alpha), float(beta))
             objective.evaluations += 1
             if math.isfinite(loss):
                 grid.append((loss, float(alpha), float(beta)))

@@ -190,23 +190,6 @@ class ScenarioParams:
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """One farmer: sampled PV cost, adoption status, adoption year."""
-
-    id: int
-    pv_cost: MoneyEur
-    adopted: bool = False
-    adoption_year: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "pv_cost", require_finite("pv_cost", self.pv_cost))
-        if self.adopted and self.adoption_year is None:
-            raise ValidationError("adoption_year is required when adopted is true")
-        if not self.adopted and self.adoption_year is not None:
-            raise ValidationError("adoption_year must be absent when adopted is false")
-
-
-@dataclass(frozen=True)
 class YearRecord:
     """Outputs of one simulated year."""
 

@@ -63,17 +63,18 @@ def economic_utility(npv, initial_investment, subsidy):
     return npv - initial_investment + subsidy
 
 
-def agent_utility(agent, params, energy_price, subsidy):
+def agent_utility(pv_cost, params, energy_price, subsidy):
     """Utility one farmer assigns to installing PV in the decision year.
 
     The savings series is held constant at the decision-year price over the
     scenario horizon (myopic price expectation), discounted at the scenario
-    rate, and offset by the agent's installation cost net of subsidy.
+    rate, and offset by the farmer's installation cost net of subsidy. This
+    is the reference the engine's affine utility kernel is tested against.
     """
     annual = annual_savings(
-        params.annual_generation_kwh, energy_price, agent.pv_cost, params.maintenance_rate
+        params.annual_generation_kwh, energy_price, pv_cost, params.maintenance_rate
     )
     npv = net_present_value(
         constant_savings(annual, params.horizon_years), params.discount_rate
     )
-    return economic_utility(npv, agent.pv_cost, subsidy)
+    return economic_utility(npv, pv_cost, subsidy)

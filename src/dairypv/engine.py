@@ -1,4 +1,4 @@
-"""Adoption engine: logistic probability, yearly step, simulation, replication.
+"""Adoption engine: utility and probability kernels, yearly loops, replication.
 
 Deterministic mode tracks the expected cumulative adopter count driven by a
 single representative farmer (PV cost at the midpoint of the sampled range).
@@ -11,17 +11,12 @@ seeded directly with the scenario seed; Monte Carlo replication r uses
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    AgentState,
-    SimulationResult,
-    YearRecord,
-    require_finite,
-)
-from .economics import agent_utility, constant_savings, net_present_value
+from .domain import SimulationResult, YearRecord, require_finite
+from .economics import constant_savings, net_present_value
 from .errors import CoverageGapError, ValidationError
 
 # Smallest positive float; floor for probabilities when the exponential
@@ -29,34 +24,30 @@ from .errors import CoverageGapError, ValidationError
 _TINY = 5e-324
 
 
-def adoption_probability(economic_utility, alpha, beta, total_farmers):
-    """Likelihood that a farmer with the given utility installs PV this year.
+def _annuity(params):
+    """Discount-factor sum over t = 0..horizon: the NPV of 1 EUR a year."""
+    return net_present_value(constant_savings(1.0, params.horizon_years), params.discount_rate)
 
-    Logistic in utility per farmer, scaled by the ceiling beta. The result
-    stays strictly inside (0, beta) even for extreme utilities: the
-    exponential is evaluated only on non-positive arguments, so it can
-    underflow but never overflow.
+
+def _utility(params, annuity, energy_price, pv_cost, subsidy):
+    """Utility kernel: economics.agent_utility in affine form.
+
+    With annuity A, the NPV of the constant yearly savings gen*price - m*c
+    is (gen*price - m*c)*A, so the utility NPV - c + subsidy equals
+    gen*price*A - (1 + m*A)*c + subsidy. Any argument may be an array
+    (prices and subsidies per year, or PV costs per farmer).
     """
-    economic_utility = require_finite("economic_utility", economic_utility)
-    require_finite("alpha", alpha)
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    require_finite("beta", beta)
-    if not 0 < beta <= 1:
-        raise ValidationError(f"beta must be in (0, 1], got {beta}")
-    if total_farmers < 1:
-        raise ValidationError(f"total_farmers must be >= 1, got {total_farmers}")
-    x = alpha * economic_utility / total_farmers
-    if x >= 0:
-        p = beta / (1.0 + math.exp(-x))
-    else:
-        e = math.exp(x)
-        p = beta * e / (1.0 + e)
-    return min(max(p, _TINY), math.nextafter(beta, 0.0))
+    return (params.annual_generation_kwh * energy_price * annuity
+            - (1.0 + params.maintenance_rate * annuity) * pv_cost + subsidy)
 
 
 def _probability_array(utilities, alpha, beta, total_farmers):
-    """Vectorized adoption_probability over an array of utilities."""
+    """Probability kernel: logistic in utility per farmer, capped by beta.
+
+    Results stay strictly inside (0, beta) even for extreme utilities: the
+    exponential is evaluated only on non-positive arguments, so it can
+    underflow but never overflow.
+    """
     x = alpha * utilities / total_farmers
     p = np.empty_like(x)
     pos = x >= 0
@@ -66,166 +57,43 @@ def _probability_array(utilities, alpha, beta, total_farmers):
     return np.clip(p, _TINY, math.nextafter(beta, 0.0))
 
 
-@dataclass(frozen=True)
-class AgentPopulation:
-    """Vectorized farmer population; the array index is the agent id."""
-
-    pv_costs: np.ndarray
-    adopted: np.ndarray
-    adoption_years: np.ndarray
-
-    @property
-    def size(self):
-        return len(self.pv_costs)
-
-    @property
-    def adopted_count(self):
-        return int(np.count_nonzero(self.adopted))
-
-    def as_agent_states(self):
-        """Materialize the population as a list of AgentState values."""
-        return [
-            AgentState(
-                id=i,
-                pv_cost=float(self.pv_costs[i]),
-                adopted=bool(self.adopted[i]),
-                adoption_year=int(self.adoption_years[i]) if self.adopted[i] else None,
-            )
-            for i in range(self.size)
-        ]
+def adoption_probability(economic_utility, alpha, beta, total_farmers):
+    """Likelihood that a farmer with the given utility installs PV this year."""
+    economic_utility = require_finite("economic_utility", economic_utility)
+    require_finite("alpha", alpha)
+    if alpha <= 0:
+        raise ValidationError(f"alpha must be > 0, got {alpha}")
+    require_finite("beta", beta)
+    if not 0 < beta <= 1:
+        raise ValidationError(f"beta must be in (0, 1], got {beta}")
+    if total_farmers < 1:
+        raise ValidationError(f"total_farmers must be >= 1, got {total_farmers}")
+    return float(_probability_array(np.array([economic_utility]), alpha, beta, total_farmers)[0])
 
 
-@dataclass
-class SimulationState:
-    """Loop state for one simulation run.
+def deterministic_curve(utilities, alpha, beta, total_farmers, semantics):
+    """Expected adoption path for a sequence of yearly utilities.
 
-    Deterministic mode uses the real-valued cumulative accumulator;
-    stochastic mode carries the agent population and its generator (the
-    generator advances in place as draws are consumed).
+    Returns (probabilities, new_adopters, cumulative_adopters) as lists, one
+    entry per year. Hazard semantics draw new adopters from the
+    not-yet-adopted pool; literal semantics recompute the cumulative level
+    as p * N each year (new adopters reported as the non-negative
+    difference).
     """
-
-    year: int
-    cumulative_adopters: float = 0.0
-    agents: AgentPopulation | None = None
-    rng: np.random.Generator | None = None
-
-
-def initialize_state(params, seed=None):
-    """Build the starting state for a run.
-
-    In stochastic mode agent PV costs are sampled Uniform[pv_cost_min,
-    pv_cost_max] in id order before the first step; `seed` overrides
-    params.seed (used by Monte Carlo replication).
-    """
-    if params.mode == "deterministic":
-        return SimulationState(year=params.start_year)
-    if seed is None:
-        seed = params.seed
-    rng = np.random.Generator(np.random.PCG64(seed))
-    costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
-    population = AgentPopulation(
-        pv_costs=costs,
-        adopted=np.zeros(params.total_farmers, dtype=bool),
-        adoption_years=np.full(params.total_farmers, -1, dtype=np.int64),
-    )
-    return SimulationState(year=params.start_year, agents=population, rng=rng)
-
-
-def _representative_utility(params, energy_price, subsidy):
-    rep = AgentState(id=0, pv_cost=params.midpoint_cost)
-    return agent_utility(rep, params, energy_price, subsidy)
-
-
-def _utilities_for_costs(costs, params, energy_price, subsidy):
-    """Vectorized agent utilities; affine in PV cost.
-
-    Matches economics.agent_utility term by term: the utility of cost c is
-    (generation*price)*A - (1 + maintenance*A)*c + subsidy where A is the
-    discount-factor sum over t = 0..horizon.
-    """
-    annuity = net_present_value(
-        constant_savings(1.0, params.horizon_years), params.discount_rate
-    )
-    revenue = params.annual_generation_kwh * energy_price
-    return revenue * annuity - (1.0 + params.maintenance_rate * annuity) * costs + subsidy
-
-
-def step_year(state, params, energy_price, subsidy):
-    """Advance the simulation by one year; returns (next_state, YearRecord).
-
-    Deterministic hazard semantics draw new adopters from the not-yet-adopted
-    pool; literal semantics recompute the cumulative level as p * N each year
-    (new adopters reported as the non-negative difference). Stochastic mode
-    gives every non-adopted agent an independent Bernoulli adoption draw in
-    id order; adoption_semantics has no effect there. Stochastic records
-    carry the mean utility and mean probability of the agents evaluated.
-    """
-    if not params.start_year <= state.year <= params.end_year:
-        raise ValidationError(
-            f"state.year {state.year} outside scenario range "
-            f"{params.start_year}-{params.end_year}"
-        )
-    energy_price = require_finite("energy_price", energy_price)
-    subsidy = require_finite("subsidy", subsidy)
-    total = params.total_farmers
-
-    if params.mode == "deterministic":
-        utility = _representative_utility(params, energy_price, subsidy)
-        probability = adoption_probability(utility, params.alpha, params.beta, total)
-        prior = state.cumulative_adopters
-        if params.adoption_semantics == "hazard":
-            new = probability * (total - prior)
-            cumulative = prior + new
+    probabilities = _probability_array(utilities, alpha, beta, total_farmers).tolist()
+    new, cumulative = [], []
+    prior = 0.0
+    for p in probabilities:
+        if semantics == "hazard":
+            added = p * (total_farmers - prior)
+            level = prior + added
         else:
-            cumulative = probability * total
-            new = max(0.0, cumulative - prior)
-        next_state = SimulationState(year=state.year + 1, cumulative_adopters=cumulative)
-    else:
-        population = state.agents
-        remaining = ~population.adopted
-        n_remaining = int(np.count_nonzero(remaining))
-        adopted = population.adopted.copy()
-        adoption_years = population.adoption_years.copy()
-        if n_remaining > 0:
-            utilities = _utilities_for_costs(
-                population.pv_costs[remaining], params, energy_price, subsidy
-            )
-            probabilities = _probability_array(utilities, params.alpha, params.beta, total)
-            draws = state.rng.random(n_remaining)
-            adopts = draws < probabilities
-            indices = np.nonzero(remaining)[0][adopts]
-            adopted[indices] = True
-            adoption_years[indices] = state.year
-            utility = float(np.mean(utilities))
-            probability = float(np.mean(probabilities))
-            new = float(len(indices))
-        else:
-            # Everyone already adopted: report the representative agent's
-            # view so the record stays finite.
-            utility = _representative_utility(params, energy_price, subsidy)
-            probability = adoption_probability(utility, params.alpha, params.beta, total)
-            new = 0.0
-        next_population = AgentPopulation(
-            pv_costs=population.pv_costs, adopted=adopted, adoption_years=adoption_years
-        )
-        cumulative = float(np.count_nonzero(adopted))
-        next_state = SimulationState(
-            year=state.year + 1,
-            cumulative_adopters=cumulative,
-            agents=next_population,
-            rng=state.rng,
-        )
-
-    record = YearRecord(
-        year=state.year,
-        energy_price=energy_price,
-        subsidy=subsidy,
-        economic_utility=utility,
-        probability=probability,
-        new_adopters=new,
-        cumulative_adopters=cumulative,
-    )
-    return next_state, record
+            level = p * total_farmers
+            added = max(0.0, level - prior)
+        new.append(added)
+        cumulative.append(level)
+        prior = level
+    return probabilities, new, cumulative
 
 
 def check_series_coverage(series, name, params):
@@ -240,22 +108,80 @@ def check_series_coverage(series, name, params):
         )
 
 
-def run_simulation(params, prices, subsidies, seed=None):
+def _yearly_inputs(params, prices, subsidies):
+    """Coverage-checked price and subsidy arrays for start_year..end_year."""
+    check_series_coverage(prices, "price", params)
+    check_series_coverage(subsidies, "subsidy", params)
+    years = range(params.start_year, params.end_year + 1)
+    return (np.array([prices.value_for(y) for y in years]),
+            np.array([subsidies.value_for(y) for y in years]))
+
+
+def representative_utilities(params, prices, subsidies):
+    """Yearly utility of the midpoint-cost farmer that deterministic mode follows."""
+    energy_prices, yearly_subsidies = _yearly_inputs(params, prices, subsidies)
+    return _utility(params, _annuity(params), energy_prices, params.midpoint_cost,
+                    yearly_subsidies)
+
+
+def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
+    """Per-farmer run; yields (mean utility, mean probability, new, cumulative).
+
+    PV costs are sampled Uniform[pv_cost_min, pv_cost_max] in id order, then
+    each year every farmer who has not adopted gets one Bernoulli draw, in
+    id order. Only the costs of those farmers are carried, so adopting
+    drops a farmer from the array while keeping the draw order. The means
+    are over the farmers evaluated that year; once everyone has adopted
+    the representative farmer is reported so the record stays finite.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
+    representative = np.array([params.midpoint_cost])
+    cumulative = 0
+    for energy_price, subsidy in zip(energy_prices, yearly_subsidies):
+        evaluated = costs if len(costs) else representative
+        utilities = _utility(params, annuity, energy_price, evaluated, subsidy)
+        probabilities = _probability_array(
+            utilities, params.alpha, params.beta, params.total_farmers)
+        new = 0
+        if len(costs):
+            adopts = rng.random(len(costs)) < probabilities
+            costs = costs[~adopts]
+            new = len(adopts) - len(costs)
+        cumulative += new
+        yield (float(np.mean(utilities)), float(np.mean(probabilities)),
+               float(new), float(cumulative))
+
+
+def run_simulation(params, prices, subsidies):
     """Run the full multi-year simulation; one YearRecord per year.
 
     Both series must cover [start_year, end_year]; coverage is checked
-    before any stepping so failures never produce partial results.
+    before the first year so failures never produce partial results.
+    Semantics switches apply to deterministic mode only.
     """
-    check_series_coverage(prices, "price", params)
-    check_series_coverage(subsidies, "subsidy", params)
-    state = initialize_state(params, seed=seed)
-    records = []
-    for year in range(params.start_year, params.end_year + 1):
-        state, record = step_year(
-            state, params, prices.value_for(year), subsidies.value_for(year)
+    if params.mode == "deterministic":
+        utilities = representative_utilities(params, prices, subsidies)
+        columns = (utilities.tolist(), *deterministic_curve(
+            utilities, params.alpha, params.beta, params.total_farmers,
+            params.adoption_semantics))
+    else:
+        columns = zip(*_stochastic_years(
+            params, _annuity(params), *_yearly_inputs(params, prices, subsidies), params.seed))
+    years = range(params.start_year, params.end_year + 1)
+    records = tuple(
+        YearRecord(
+            year=year,
+            energy_price=prices.value_for(year),
+            subsidy=subsidies.value_for(year),
+            economic_utility=utility,
+            probability=probability,
+            new_adopters=new,
+            cumulative_adopters=cumulative,
         )
-        records.append(record)
-    return SimulationResult(params_digest=params.digest, records=tuple(records))
+        for year, utility, probability, new, cumulative in zip(years, *columns)
+    )
+    return SimulationResult(params_digest=params.digest, records=records)
 
 
 @dataclass(frozen=True)
@@ -307,17 +233,12 @@ def run_monte_carlo(params, prices, subsidies, replications, base_seed):
         raise ValidationError(f"run_monte_carlo requires mode 'stochastic', got {params.mode!r}")
     if not 0 <= base_seed <= 2**64 - 1:
         raise ValidationError(f"base_seed must fit in an unsigned 64-bit integer, got {base_seed}")
-    check_series_coverage(prices, "price", params)
-    check_series_coverage(subsidies, "subsidy", params)
+    inputs = (params, _annuity(params), *_yearly_inputs(params, prices, subsidies))
 
     curves = np.empty((replications, params.n_years), dtype=float)
     for r in range(replications):
         seed = (base_seed + r) % 2**64
-        try:
-            result = run_simulation(replace(params, seed=seed), prices, subsidies)
-        except Exception as exc:
-            raise RuntimeError(f"replication {r} (seed {seed}) failed: {exc}") from exc
-        curves[r, :] = [rec.cumulative_adopters for rec in result.records]
+        curves[r, :] = [row[3] for row in _stochastic_years(*inputs, seed)]
 
     years = range(params.start_year, params.end_year + 1)
     rows = tuple(

@@ -68,6 +68,12 @@ class TestEvaluateLoss:
         with pytest.raises(ValidationError, match="beta"):
             evaluate_loss((1.0, 2.0), default_params, price_series, subsidy_series, target)
 
+    def test_target_outside_scenario_rejected(self, default_params, price_series,
+                                              subsidy_series):
+        target = CalibrationTarget(observations=((2004, 10.0),))
+        with pytest.raises(ValidationError, match="2004"):
+            evaluate_loss((1.0, 0.01), default_params, price_series, subsidy_series, target)
+
     def test_scale_property_with_power_of_two_rescaling(
         self, default_params, price_series, subsidy_series
     ):

@@ -1,7 +1,6 @@
 import pytest
 
 from dairypv.domain import (
-    AgentState,
     ScenarioParams,
     SimulationResult,
     YearRecord,
@@ -106,20 +105,6 @@ class TestYearSeries:
     def test_non_finite_value_rejected(self):
         with pytest.raises(ValidationError, match="values"):
             YearSeries(first_year=2005, values=(1.0, float("nan")))
-
-
-class TestAgentState:
-    def test_adoption_year_present_iff_adopted(self):
-        AgentState(id=0, pv_cost=9000.0)
-        AgentState(id=1, pv_cost=9000.0, adopted=True, adoption_year=2010)
-        with pytest.raises(ValidationError, match="adoption_year"):
-            AgentState(id=2, pv_cost=9000.0, adopted=True)
-        with pytest.raises(ValidationError, match="adoption_year"):
-            AgentState(id=3, pv_cost=9000.0, adopted=False, adoption_year=2010)
-
-    def test_pv_cost_must_be_finite(self):
-        with pytest.raises(ValidationError, match="pv_cost"):
-            AgentState(id=0, pv_cost=float("nan"))
 
 
 def make_record(year=2005, probability=0.01, new=10.0, cumulative=10.0):

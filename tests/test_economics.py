@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dairypv.domain import AgentState, ScenarioParams
+from dairypv.domain import ScenarioParams
 from dairypv.economics import (
     agent_utility,
     annual_savings,
@@ -129,15 +129,13 @@ def make_params(**overrides):
 class TestAgentUtility:
     def test_zero_horizon_zero_generation_subsidy_offsets_cost(self):
         params = make_params(horizon_years=0, annual_generation_kwh=0.0)
-        agent = AgentState(id=0, pv_cost=10000.0)
-        utility = agent_utility(agent, params, energy_price=0.2, subsidy=10000.0)
+        utility = agent_utility(10000.0, params, energy_price=0.2, subsidy=10000.0)
         assert utility == pytest.approx(-0.02 * 10000.0, rel=1e-12)
 
     def test_chained_annuity_oracle(self):
         # R = 6000 * 0.20 - 0.02 * 10000 = 1000; NPV = 1000 * annuity(0.04, 20)
         params = make_params()
-        agent = AgentState(id=0, pv_cost=10000.0)
-        utility = agent_utility(agent, params, energy_price=0.20, subsidy=2400.0)
+        utility = agent_utility(10000.0, params, energy_price=0.20, subsidy=2400.0)
         oracle = 1000.0 * annuity_sum(0.04, 20) - 10000.0 + 2400.0
         assert utility == pytest.approx(oracle, rel=1e-12)
         assert utility == pytest.approx(6990.33, abs=0.01)
@@ -145,10 +143,8 @@ class TestAgentUtility:
     def test_cost_difference_is_algebraic(self):
         # utility is affine in pv_cost with slope -(1 + maintenance * annuity)
         params = make_params()
-        cheap = AgentState(id=0, pv_cost=5000.0)
-        dear = AgentState(id=1, pv_cost=15000.0)
-        u_cheap = agent_utility(cheap, params, energy_price=0.20, subsidy=2400.0)
-        u_dear = agent_utility(dear, params, energy_price=0.20, subsidy=2400.0)
+        u_cheap = agent_utility(5000.0, params, energy_price=0.20, subsidy=2400.0)
+        u_dear = agent_utility(15000.0, params, energy_price=0.20, subsidy=2400.0)
         expected_diff = 10000.0 * (1.0 + 0.02 * annuity_sum(0.04, 20))
         assert u_cheap - u_dear == pytest.approx(expected_diff, rel=1e-12)
 
@@ -165,8 +161,12 @@ class TestAgentUtility:
             c1, c2 = sorted(rng.uniform(1000.0, 50000.0, size=2))
             if c2 - c1 < 1.0:
                 continue
-            u1 = agent_utility(AgentState(id=0, pv_cost=c1), params, 0.2, 1500.0)
-            u2 = agent_utility(AgentState(id=1, pv_cost=c2), params, 0.2, 1500.0)
+            u1 = agent_utility(c1, params, 0.2, 1500.0)
+            u2 = agent_utility(c2, params, 0.2, 1500.0)
             slope = (u2 - u1) / (c2 - c1)
             assert slope == pytest.approx(-(1.0 + maintenance * annuity_sum(rate, horizon)),
                                           rel=1e-6, abs=1e-9)
+
+    def test_pv_cost_must_be_finite(self):
+        with pytest.raises(ValidationError, match="pv_cost"):
+            agent_utility(float("nan"), make_params(), 0.2, 1500.0)

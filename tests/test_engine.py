@@ -1,17 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dairypv.domain import AgentState, ScenarioParams, YearSeries
+from dairypv.domain import ScenarioParams, YearSeries
 from dairypv.economics import agent_utility
 from dairypv.engine import (
-    SimulationState,
-    _utilities_for_costs,
+    _annuity,
+    _utility,
     adoption_probability,
-    initialize_state,
+    deterministic_curve,
     run_simulation,
-    step_year,
 )
 from dairypv.errors import CoverageGapError, ValidationError
 
@@ -91,26 +91,30 @@ class TestAdoptionProbability:
 
 
 class TestStepYearDeterministic:
+    """One deterministic year: run_simulation and the deterministic_curve recurrence."""
+
     def test_hazard_draws_from_remaining_pool(self):
         # generation 0, maintenance 0, subsidy == cost -> EU = 0 -> p = beta/2
         params = make_params(
-            pv_cost_min=10000.0, pv_cost_max=10000.0,
+            pv_cost_min=10000.0, pv_cost_max=10000.0, end_year=2005,
             annual_generation_kwh=0.0, maintenance_rate=0.0, beta=0.002,
         )
-        state = SimulationState(year=2005)
-        next_state, record = step_year(state, params, energy_price=0.2, subsidy=10000.0)
+        result = run_simulation(params, flat_series(params, 0.2), flat_series(params, 10000.0))
+        (record,) = result.records
+        assert record.year == 2005
+        assert record.economic_utility == 0.0
         assert record.probability == pytest.approx(0.001, rel=1e-12)
         assert record.new_adopters == pytest.approx(18.0, rel=1e-12)
         assert record.cumulative_adopters == pytest.approx(18.0, rel=1e-12)
-        assert next_state.year == 2006
-        assert next_state.cumulative_adopters == record.cumulative_adopters
 
     def test_saturated_population_adds_nobody(self):
-        params = make_params()
-        state = SimulationState(year=2005, cumulative_adopters=18000.0)
-        _, record = step_year(state, params, energy_price=0.5, subsidy=3500.0)
-        assert record.new_adopters == 0.0
-        assert record.cumulative_adopters == 18000.0
+        # beta = 1 and a huge utility give p = nextafter(1, 0): the first
+        # year takes the whole pool up to rounding, later years add nothing
+        _, new, cumulative = deterministic_curve(
+            np.full(4, 1e12), alpha=1.0, beta=1.0, total_farmers=18000, semantics="hazard")
+        assert cumulative[0] == pytest.approx(18000.0, rel=1e-12)
+        assert all(0.0 <= n < 1e-9 for n in new[1:])
+        assert cumulative == sorted(cumulative) and cumulative[-1] <= 18000.0
 
     def test_literal_semantics_recompute_the_level(self):
         params = make_params(adoption_semantics="literal", beta=0.002)
@@ -123,76 +127,91 @@ class TestStepYearDeterministic:
             )
             assert record.new_adopters >= 0.0
 
-    def test_year_outside_range_rejected(self):
-        params = make_params()
-        with pytest.raises(ValidationError, match="year"):
-            step_year(SimulationState(year=1999), params, 0.2, 1000.0)
-
 
 class TestStepYearStochastic:
+    """One stochastic year, through one-year run_simulation scenarios."""
+
     def test_same_seed_gives_bit_identical_records(self):
-        params = make_params(mode="stochastic", seed=123, beta=0.05)
-        records = []
-        for _ in range(2):
-            state = initialize_state(params)
-            _, record = step_year(state, params, energy_price=0.25, subsidy=3000.0)
-            records.append(record)
-        assert records[0] == records[1]
+        params = make_params(mode="stochastic", seed=123, beta=0.05, end_year=2005)
+        prices, subsidies = flat_series(params, 0.25), flat_series(params, 3000.0)
+        first = run_simulation(params, prices, subsidies)
+        assert run_simulation(params, prices, subsidies) == first
 
     def test_vectorized_utilities_match_per_agent_route(self):
-        params = make_params(total_farmers=50, mode="stochastic", seed=5)
-        state = initialize_state(params)
-        costs = state.agents.pv_costs
-        vectorized = _utilities_for_costs(costs, params, 0.21, 2500.0)
-        for i, cost in enumerate(costs):
-            direct = agent_utility(AgentState(id=i, pv_cost=float(cost)), params, 0.21, 2500.0)
-            assert vectorized[i] == pytest.approx(direct, rel=1e-12)
+        costs = np.random.default_rng(5).uniform(0.0, 40000.0, size=50)
+        for horizon, rate, maintenance, generation in (
+            (20, 0.04, 0.02, 6000.0),
+            (0, 0.0, 0.0, 0.0),
+            (35, -0.3, 0.15, 12000.0),
+            (7, 0.35, 0.4, 250.0),
+        ):
+            params = make_params(horizon_years=horizon, discount_rate=rate,
+                                 maintenance_rate=maintenance, annual_generation_kwh=generation)
+            annuity = _annuity(params)
+            for price, subsidy in ((0.21, 2500.0), (0.0, 0.0), (0.9, 6000.0)):
+                vectorized = _utility(params, annuity, price, costs, subsidy)
+                for cost, utility in zip(costs, vectorized):
+                    direct = agent_utility(float(cost), params, price, subsidy)
+                    assert utility == pytest.approx(direct, rel=1e-12, abs=1e-6)
 
     def test_record_reports_mean_probability_of_remaining_agents(self):
-        params = make_params(total_farmers=200, mode="stochastic", seed=11, beta=0.05)
-        state = initialize_state(params)
-        _, record = step_year(state, params, energy_price=0.25, subsidy=3000.0)
+        params = make_params(total_farmers=200, mode="stochastic", seed=11, beta=0.05,
+                             end_year=2005)
+        result = run_simulation(params, flat_series(params, 0.25), flat_series(params, 3000.0))
+        (record,) = result.records
         assert 0.0 < record.probability < params.beta
+        assert record.new_adopters == record.cumulative_adopters
 
     def test_all_adopted_population_reports_zero_new(self):
-        params = make_params(total_farmers=10, mode="stochastic", seed=3)
-        state = initialize_state(params)
-        adopted = np.ones(10, dtype=bool)
-        years = np.full(10, 2005, dtype=np.int64)
-        from dairypv.engine import AgentPopulation
-
-        state = SimulationState(
-            year=2006,
-            cumulative_adopters=10.0,
-            agents=AgentPopulation(state.agents.pv_costs, adopted, years),
-            rng=state.rng,
-        )
-        _, record = step_year(state, params, 0.2, 2000.0)
-        assert record.new_adopters == 0.0
-        assert record.cumulative_adopters == 10.0
+        # beta = 1 and a huge subsidy: every farmer adopts in the first year
+        params = make_params(total_farmers=10, mode="stochastic", seed=3, beta=1.0,
+                             end_year=2007)
+        result = run_simulation(params, flat_series(params, 0.2), flat_series(params, 1e9))
+        first, *later = result.records
+        assert first.new_adopters == first.cumulative_adopters == 10.0
+        for record in later:
+            assert record.new_adopters == 0.0
+            assert record.cumulative_adopters == 10.0
+            assert math.isfinite(record.economic_utility)
+            assert 0.0 < record.probability < 1.0
 
 
 class TestInitializeState:
+    """Per-farmer PV costs drawn at the start of a stochastic run."""
+
     def test_costs_sampled_within_range_in_id_order(self):
-        params = make_params(mode="stochastic", seed=99)
-        state = initialize_state(params)
-        costs = state.agents.pv_costs
-        assert len(costs) == params.total_farmers
-        assert np.all(costs >= params.pv_cost_min)
-        assert np.all(costs <= params.pv_cost_max)
+        # one year, p = beta/2 for every farmer (generation 0, maintenance
+        # 0, subsidy == cost): the adopters are exactly the farmers whose
+        # draw, taken in id order after the N cost draws, falls below p
+        params = make_params(mode="stochastic", seed=99, pv_cost_min=10000.0,
+                             pv_cost_max=10000.0, annual_generation_kwh=0.0,
+                             maintenance_rate=0.0, beta=0.5, end_year=2005)
+        result = run_simulation(params, flat_series(params, 0.2), flat_series(params, 10000.0))
+        rng = np.random.Generator(np.random.PCG64(99))
+        costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
+        assert np.all(costs == 10000.0)
+        expected = np.count_nonzero(rng.random(params.total_farmers) < 0.25)
+        assert result.records[0].new_adopters == expected
+
+        wide = make_params(mode="stochastic", seed=99, end_year=2005)
+        costs = np.random.Generator(np.random.PCG64(99)).uniform(
+            wide.pv_cost_min, wide.pv_cost_max, size=wide.total_farmers)
+        assert np.all(costs >= wide.pv_cost_min)
+        assert np.all(costs <= wide.pv_cost_max)
+        (record,) = run_simulation(wide, flat_series(wide, 0.2), flat_series(wide, 2000.0)).records
+        assert record.economic_utility == float(np.mean(_utility(
+            wide, _annuity(wide), 0.2, costs, 2000.0)))
 
     def test_homogeneous_range_collapses_to_single_cost(self):
         params = make_params(pv_cost_min=9000.0, pv_cost_max=9000.0,
-                             mode="stochastic", seed=1, total_farmers=100)
-        state = initialize_state(params)
-        assert np.all(state.agents.pv_costs == 9000.0)
-
-    def test_as_agent_states_roundtrip(self):
-        params = make_params(total_farmers=5, mode="stochastic", seed=2)
-        state = initialize_state(params)
-        agents = state.agents.as_agent_states()
-        assert [a.id for a in agents] == [0, 1, 2, 3, 4]
-        assert all(not a.adopted and a.adoption_year is None for a in agents)
+                             mode="stochastic", seed=1, total_farmers=100, end_year=2005)
+        prices, subsidies = flat_series(params, 0.2), flat_series(params, 2000.0)
+        (stochastic,) = run_simulation(params, prices, subsidies).records
+        (deterministic,) = run_simulation(
+            replace(params, mode="deterministic"), prices, subsidies).records
+        assert stochastic.economic_utility == pytest.approx(
+            deterministic.economic_utility, rel=1e-12)
+        assert stochastic.probability == pytest.approx(deterministic.probability, rel=1e-12)
 
 
 class TestRunSimulation:

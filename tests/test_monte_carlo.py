@@ -29,7 +29,7 @@ def test_single_replication_degenerates_to_that_run(price_series, subsidy_series
     params = make_params()
     summary = run_monte_carlo(params, price_series, subsidy_series,
                               replications=1, base_seed=77)
-    single = run_simulation(params, price_series, subsidy_series, seed=77)
+    single = run_simulation(replace(params, seed=77), price_series, subsidy_series)
     for row, record in zip(summary.rows, single.records):
         assert row.mean == record.cumulative_adopters
         assert row.std == 0.0
