@@ -1,7 +1,8 @@
 """Scenario configuration, CSV series ingestion and result serialization.
 
-The scenario file is a flat YAML mapping of typed scalars; unknown keys are
-rejected so typos cannot silently fall back to defaults. Series files are
+The scenario file is a flat YAML mapping of typed scalars; unknown and
+duplicated keys are rejected so typos cannot silently fall back to
+defaults or override an earlier value. Series files are
 plain CSV with a fixed two-column header. Results are written atomically
 (temp file + rename) so failures never leave partial output.
 """
@@ -12,6 +13,7 @@ import math
 import os
 import tempfile
 import warnings
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -127,14 +129,6 @@ def parse_target_observations(stream):
     return _parse_rows(stream, TARGET_COLUMN, require_contiguous=False)
 
 
-def render_year_series(series, value_column):
-    """Serialize a YearSeries back to CSV text (values at 6 significant digits)."""
-    lines = [f"year,{value_column}"]
-    for year, value in series.items():
-        lines.append(f"{year},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
-
-
 # Scenario file schema: key -> (python types accepted, required).
 _INT = (int,)
 _NUM = (int, float)
@@ -159,7 +153,25 @@ _SCHEMA = {
     "target_series": (_STR, False),
     "target_loss": (_STR, False),
 }
-_PATH_KEYS = ("price_series", "subsidy_series", "target_series", "target_loss")
+# Keys passed on to ScenarioParams; the rest name series files or the loss.
+_PARAM_KEYS = frozenset(f.name for f in fields(ScenarioParams))
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a mapping key given twice (plain YAML keeps the last)."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node)
+            if key in seen:
+                mark = key_node.start_mark
+                raise ValidationError(
+                    f"{mark.name}: duplicate key {key!r} on line {mark.line + 1}"
+                )
+            seen.add(key)
+        return mapping
 
 
 class LoadedScenario(NamedTuple):
@@ -208,14 +220,13 @@ def load_scenario(config_path):
     if not config_path.is_file():
         raise FileNotFoundError(f"scenario file not found: {config_path}")
     with open(config_path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+        data = yaml.load(handle, Loader=_UniqueKeyLoader)
     _check_config_types(data, config_path)
 
-    param_kwargs = {k: v for k, v in data.items() if k not in _PATH_KEYS}
-    for key in ("pv_cost_min", "pv_cost_max", "maintenance_rate", "discount_rate",
-                "annual_generation_kwh", "alpha", "beta"):
-        if key in param_kwargs:
-            param_kwargs[key] = float(param_kwargs[key])
+    param_kwargs = {
+        k: float(v) if _SCHEMA[k][0] is _NUM else v
+        for k, v in data.items() if k in _PARAM_KEYS
+    }
     try:
         params = ScenarioParams(**param_kwargs)
     except ValidationError as exc:

@@ -54,6 +54,13 @@ class TestRunCommand:
         final = text.splitlines()[-1].split(",")[-1]
         assert float(final) == int(float(final))
 
+    def test_duplicate_scenario_key_exits_1(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        path.write_text(path.read_text() + "total_farmers: 100\n")
+        code = cli_main(["run", "--config", str(path)])
+        assert code == 1
+        assert "duplicate key 'total_farmers'" in capsys.readouterr().err
+
     def test_stochastic_without_seed_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         code = cli_main(["run", "--config", str(path), "--mode", "stochastic"])

@@ -1,7 +1,6 @@
 import io
 import json
 
-import numpy as np
 import pytest
 import yaml
 
@@ -22,7 +21,6 @@ from dairypv.io import (
     parse_target_observations,
     parse_year_series,
     render_result,
-    render_year_series,
     write_result,
 )
 
@@ -86,16 +84,6 @@ class TestParseYearSeries:
         with pytest.raises(BadValueError, match="no data rows"):
             parse("year,price_eur_per_kwh\n")
 
-    def test_render_parse_roundtrip_at_six_significant_digits(self):
-        rng = np.random.default_rng(23)
-        values = [float(v) for v in rng.uniform(1e-5, 1e5, size=12)]
-        series = YearSeries.from_pairs([(2000 + i, v) for i, v in enumerate(values)])
-        text = render_year_series(series, "price_eur_per_kwh")
-        back = parse(text)
-        for (y1, v1), (y2, v2) in zip(series.items(), back.items()):
-            assert y1 == y2
-            assert float(f"{v1:.6g}") == float(f"{v2:.6g}")
-
 
 class TestParseTarget:
     def test_sparse_years_allowed(self):
@@ -128,6 +116,12 @@ class TestLoadScenario:
     def test_unknown_key_rejected(self, tmp_path):
         path = write_scenario(tmp_path, config={"pv_cost_typo": 1})
         with pytest.raises(ValidationError, match="pv_cost_typo"):
+            load_scenario(path)
+
+    def test_duplicate_key_rejected_naming_key_and_file(self, tmp_path):
+        path = write_scenario(tmp_path)
+        path.write_text(path.read_text() + "beta: 0.5\nbeta: 0.02\n")
+        with pytest.raises(ValidationError, match=r"scenario\.yaml: duplicate key 'beta'"):
             load_scenario(path)
 
     def test_missing_required_key(self, tmp_path):
