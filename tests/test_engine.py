@@ -152,7 +152,7 @@ class TestStepYearStochastic:
                 vectorized = _utility(params, annuity, price, costs, subsidy)
                 for cost, utility in zip(costs, vectorized):
                     direct = agent_utility(float(cost), params, price, subsidy)
-                    assert utility == pytest.approx(direct, rel=1e-12, abs=1e-6)
+                    assert utility == pytest.approx(direct, rel=1e-12)
 
     def test_record_reports_mean_probability_of_remaining_agents(self):
         params = make_params(total_farmers=200, mode="stochastic", seed=11, beta=0.05,
