@@ -180,27 +180,24 @@ class TestInitializeState:
     """Per-farmer PV costs drawn at the start of a stochastic run."""
 
     def test_costs_sampled_within_range_in_id_order(self):
-        # one year, p = beta/2 for every farmer (generation 0, maintenance
-        # 0, subsidy == cost): the adopters are exactly the farmers whose
-        # draw, taken in id order after the N cost draws, falls below p
-        params = make_params(mode="stochastic", seed=99, pv_cost_min=10000.0,
-                             pv_cost_max=10000.0, annual_generation_kwh=0.0,
-                             maintenance_rate=0.0, beta=0.5, end_year=2005)
-        result = run_simulation(params, flat_series(params, 0.2), flat_series(params, 10000.0))
+        # reference stream: N cost draws, then each year one draw per
+        # not-yet-adopted farmer in id order, scored with the oracle route
+        params = make_params(mode="stochastic", seed=99, total_farmers=1000, beta=0.5,
+                             end_year=2007)
+        result = run_simulation(params, flat_series(params, 0.2), flat_series(params, 2000.0))
         rng = np.random.Generator(np.random.PCG64(99))
         costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
-        assert np.all(costs == 10000.0)
-        expected = np.count_nonzero(rng.random(params.total_farmers) < 0.25)
-        assert result.records[0].new_adopters == expected
-
-        wide = make_params(mode="stochastic", seed=99, end_year=2005)
-        costs = np.random.Generator(np.random.PCG64(99)).uniform(
-            wide.pv_cost_min, wide.pv_cost_max, size=wide.total_farmers)
-        assert np.all(costs >= wide.pv_cost_min)
-        assert np.all(costs <= wide.pv_cost_max)
-        (record,) = run_simulation(wide, flat_series(wide, 0.2), flat_series(wide, 2000.0)).records
-        assert record.economic_utility == float(np.mean(_utility(
-            wide, _annuity(wide), 0.2, costs, 2000.0)))
+        assert np.all(costs >= params.pv_cost_min)
+        assert np.all(costs <= params.pv_cost_max)
+        adopted = np.zeros(params.total_farmers, dtype=bool)
+        for record in result.records:
+            remaining = np.flatnonzero(~adopted)
+            p = [adoption_probability(agent_utility(float(c), params, 0.2, 2000.0),
+                                      params.alpha, params.beta, params.total_farmers)
+                 for c in costs[remaining]]
+            adopted[remaining[rng.random(len(remaining)) < p]] = True
+            assert record.cumulative_adopters == np.count_nonzero(adopted)
+        assert 0 < np.count_nonzero(adopted) < params.total_farmers
 
     def test_homogeneous_range_collapses_to_single_cost(self):
         params = make_params(pv_cost_min=9000.0, pv_cost_max=9000.0,
