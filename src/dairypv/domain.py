@@ -78,10 +78,6 @@ class YearSeries:
     def last_year(self):
         return self.first_year + len(self.values) - 1
 
-    @property
-    def years(self):
-        return range(self.first_year, self.last_year + 1)
-
     def __contains__(self, year):
         return self.first_year <= year <= self.last_year
 
@@ -244,7 +240,3 @@ class SimulationResult:
     @property
     def final_cumulative(self):
         return self.records[-1].cumulative_adopters
-
-    def cumulative_by_year(self):
-        """Map of year -> cumulative adopters, for target comparisons."""
-        return {r.year: r.cumulative_adopters for r in self.records}

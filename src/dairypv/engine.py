@@ -44,17 +44,20 @@ def _utility(params, annuity, energy_price, pv_cost, subsidy):
 def _probability_array(utilities, alpha, beta, total_farmers):
     """Probability kernel: logistic in utility per farmer, capped by beta.
 
-    Results stay strictly inside (0, beta) even for extreme utilities: the
-    exponential is evaluated only on non-positive arguments, so it can
-    underflow but never overflow.
+    With x = alpha*U/N and e = exp(-|x|), the logistic beta/(1 + exp(-x))
+    is beta/(1 + e) for x >= 0 and e*beta/(1 + e) for x < 0. The
+    exponential never sees a positive argument, so it can underflow but
+    never overflow, and results stay strictly inside (0, beta) even for
+    extreme utilities. Every pass after the first writes in place.
     """
     x = alpha * utilities / total_farmers
-    p = np.empty_like(x)
-    pos = x >= 0
-    p[pos] = beta / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    p[~pos] = beta * e / (1.0 + e)
-    return np.clip(p, _TINY, math.nextafter(beta, 0.0))
+    nonneg = x >= 0
+    e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
+    p = np.where(nonneg, 1.0, e)
+    p *= beta
+    e += 1.0
+    p /= e
+    return np.clip(p, _TINY, math.nextafter(beta, 0.0), out=p)
 
 
 def adoption_probability(economic_utility, alpha, beta, total_farmers):
@@ -125,32 +128,51 @@ def representative_utilities(params, prices, subsidies):
 
 
 def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
-    """Per-farmer run; yields (mean utility, mean probability, new, cumulative).
+    """Per-farmer run; yields (evaluated costs, new, cumulative) per year.
 
     PV costs are sampled Uniform[pv_cost_min, pv_cost_max] in id order, then
     each year every farmer who has not adopted gets one Bernoulli draw, in
     id order. Only the costs of those farmers are carried, so adopting
-    drops a farmer from the array while keeping the draw order. The means
-    are over the farmers evaluated that year; once everyone has adopted
-    the representative farmer is reported so the record stays finite.
+    drops a farmer from the array while keeping the draw order. The year's
+    draws are taken before any probability is computed, and only farmers
+    whose draw is below beta are scored: the kernel keeps p < beta, so no
+    other draw can adopt. The evaluated costs are the year's remaining
+    farmers, or the representative farmer once everyone has adopted, so a
+    record built from them stays finite; the array is compacted only after
+    the consumer has taken it.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
     representative = np.array([params.midpoint_cost])
     cumulative = 0
     for energy_price, subsidy in zip(energy_prices, yearly_subsidies):
-        evaluated = costs if len(costs) else representative
-        utilities = _utility(params, annuity, energy_price, evaluated, subsidy)
+        if not len(costs):
+            yield representative, 0.0, float(cumulative)
+            continue
+        draws = rng.random(len(costs))
+        candidates = np.flatnonzero(draws < params.beta)
+        probabilities = _probability_array(
+            _utility(params, annuity, energy_price, costs[candidates], subsidy),
+            params.alpha, params.beta, params.total_farmers)
+        adopters = candidates[draws[candidates] < probabilities]
+        del draws
+        cumulative += len(adopters)
+        yield costs, float(len(adopters)), float(cumulative)
+        if len(adopters):
+            costs = np.delete(costs, adopters)
+
+
+def _stochastic_means(params, prices, subsidies):
+    """Stochastic run as (mean utility, mean probability, new, cumulative) per year."""
+    annuity = _annuity(params)
+    energy_prices, yearly_subsidies = _yearly_inputs(params, prices, subsidies)
+    years = _stochastic_years(params, annuity, energy_prices, yearly_subsidies, params.seed)
+    for energy_price, subsidy, (costs, new, cumulative) in zip(
+            energy_prices, yearly_subsidies, years):
+        utilities = _utility(params, annuity, energy_price, costs, subsidy)
         probabilities = _probability_array(
             utilities, params.alpha, params.beta, params.total_farmers)
-        new = 0
-        if len(costs):
-            adopts = rng.random(len(costs)) < probabilities
-            costs = costs[~adopts]
-            new = len(adopts) - len(costs)
-        cumulative += new
-        yield (float(np.mean(utilities)), float(np.mean(probabilities)),
-               float(new), float(cumulative))
+        yield float(np.mean(utilities)), float(np.mean(probabilities)), new, cumulative
 
 
 def run_simulation(params, prices, subsidies):
@@ -166,8 +188,7 @@ def run_simulation(params, prices, subsidies):
             utilities, params.alpha, params.beta, params.total_farmers,
             params.adoption_semantics))
     else:
-        columns = zip(*_stochastic_years(
-            params, _annuity(params), *_yearly_inputs(params, prices, subsidies), params.seed))
+        columns = zip(*_stochastic_means(params, prices, subsidies))
     years = range(params.start_year, params.end_year + 1)
     records = tuple(
         YearRecord(
@@ -238,7 +259,7 @@ def run_monte_carlo(params, prices, subsidies, replications, base_seed):
     curves = np.empty((replications, params.n_years), dtype=float)
     for r in range(replications):
         seed = (base_seed + r) % 2**64
-        curves[r, :] = [row[3] for row in _stochastic_years(*inputs, seed)]
+        curves[r, :] = [cumulative for _, _, cumulative in _stochastic_years(*inputs, seed)]
 
     years = range(params.start_year, params.end_year + 1)
     rows = tuple(

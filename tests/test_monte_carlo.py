@@ -83,7 +83,18 @@ def test_requires_stochastic_mode(price_series, subsidy_series):
 
 
 def test_seed_wraps_at_uint64(price_series, subsidy_series):
-    params = make_params(total_farmers=50)
-    summary = run_monte_carlo(params, price_series, subsidy_series,
-                              replications=2, base_seed=2**64 - 1)
-    assert summary.replications == 2
+    # replication 0 runs seed 2**64 - 1 and replication 1 wraps to seed 0;
+    # beta = 1 makes every farmer a candidate for scoring each year
+    for params in (make_params(total_farmers=50),
+                   make_params(total_farmers=50, beta=1.0, alpha=0.001)):
+        summary = run_monte_carlo(params, price_series, subsidy_series,
+                                  replications=2, base_seed=2**64 - 1)
+        assert summary.replications == 2
+        last, wrapped = (
+            [r.cumulative_adopters
+             for r in run_simulation(replace(params, seed=seed), price_series,
+                                     subsidy_series).records]
+            for seed in (2**64 - 1, 0))
+        assert last != wrapped
+        for row, a, b in zip(summary.rows, last, wrapped):
+            assert (row.min, row.max) == (min(a, b), max(a, b))

@@ -1,0 +1,157 @@
+"""Property tests for the engine kernels and the stochastic yearly loop."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from dairypv.domain import ScenarioParams
+from dairypv.economics import agent_utility
+from dairypv.engine import (
+    _TINY,
+    _annuity,
+    _probability_array,
+    _stochastic_years,
+    _utility,
+    deterministic_curve,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+utility_arrays = hnp.arrays(
+    np.float64,
+    st.integers(0, 64),
+    elements=st.one_of(
+        st.floats(-1e300, 1e300),
+        st.floats(-1e6, 1e6),
+        st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+    ),
+)
+# alpha > 0 and beta in (0, 1]; 1e-323 is the smallest beta whose open
+# interval (0, beta) holds a float.
+alphas = st.one_of(st.floats(5e-324, 1e300), st.sampled_from([5e-324, 1e-12, 1.0, 1e300]))
+betas = st.one_of(st.floats(1e-323, 1.0), st.sampled_from([1e-323, 1e-300, 0.0023, 1.0]))
+farmer_counts = st.integers(1, 10**6)
+
+
+def two_branch_probability(utilities, alpha, beta, total_farmers):
+    """The masked two-branch formula the kernel replaced, kept as reference."""
+    x = alpha * utilities / total_farmers
+    p = np.empty_like(x)
+    pos = x >= 0
+    p[pos] = beta / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    p[~pos] = beta * e / (1.0 + e)
+    return np.clip(p, _TINY, math.nextafter(beta, 0.0))
+
+
+@SETTINGS
+@given(utility_arrays, alphas, betas, farmer_counts)
+def test_kernel_matches_two_branch_formula_inside_open_interval(utilities, alpha, beta, n):
+    with np.errstate(over="ignore"):
+        expected = two_branch_probability(utilities, alpha, beta, n)
+        p = _probability_array(utilities, alpha, beta, n)
+    assert p.tobytes() == expected.tobytes()
+    assert np.all(p > 0.0) and np.all(p < beta)
+
+
+@SETTINGS
+@given(utility_arrays, alphas, betas, farmer_counts, st.data())
+def test_kernel_on_subset_equals_subset_of_kernel(utilities, alpha, beta, n, data):
+    picks = data.draw(hnp.arrays(np.bool_, len(utilities)))
+    subset = np.flatnonzero(picks)
+    with np.errstate(over="ignore"):
+        full = _probability_array(utilities, alpha, beta, n)
+        gathered = _probability_array(utilities[subset], alpha, beta, n)
+    assert gathered.tobytes() == full[subset].tobytes()
+
+
+def reals(low, high):
+    return st.floats(low, high, allow_subnormal=False)
+
+
+@st.composite
+def stochastic_scenarios(draw):
+    """Small stochastic scenario plus yearly prices and subsidies."""
+    low = draw(reals(0.0, 20000.0))
+    n_years = draw(st.integers(1, 6))
+    params = ScenarioParams(
+        pv_cost_min=low,
+        pv_cost_max=low + draw(reals(0.0, 20000.0)),
+        maintenance_rate=draw(reals(0.0, 0.2)),
+        discount_rate=draw(reals(-0.05, 0.2)),
+        total_farmers=draw(st.integers(1, 300)),
+        start_year=2005,
+        end_year=2004 + n_years,
+        alpha=draw(reals(1e-3, 1e3)),
+        beta=draw(st.one_of(reals(1e-3, 1.0), st.just(1.0))),
+        mode="stochastic",
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    prices = np.array(draw(st.lists(reals(0.0, 0.5), min_size=n_years, max_size=n_years)))
+    subsidies = np.array(draw(st.lists(reals(0.0, 1e4), min_size=n_years,
+                                       max_size=n_years)))
+    return params, prices, subsidies
+
+
+def score_every_farmer(params, annuity, prices, subsidies):
+    """Reference loop: every remaining farmer is scored and adopts iff draw < p."""
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
+    counts = []
+    for price, subsidy in zip(prices, subsidies):
+        new = 0
+        if len(costs):
+            p = _probability_array(_utility(params, annuity, price, costs, subsidy),
+                                   params.alpha, params.beta, params.total_farmers)
+            adopts = rng.random(len(costs)) < p
+            costs = costs[~adopts]
+            new = int(np.count_nonzero(adopts))
+        counts.append(new)
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(stochastic_scenarios())
+def test_beta_filter_drops_no_adopter(scenario):
+    params, prices, subsidies = scenario
+    annuity = _annuity(params)
+    expected = score_every_farmer(params, annuity, prices, subsidies)
+    years = list(_stochastic_years(params, annuity, prices, subsidies, params.seed))
+    assert [new for _, new, _ in years] == expected
+    assert [cumulative for _, _, cumulative in years] == np.cumsum(expected).tolist()
+
+
+@SETTINGS
+@given(stochastic_scenarios())
+def test_utility_kernel_matches_npv_route(scenario):
+    params, prices, subsidies = scenario
+    annuity = _annuity(params)
+    costs = np.linspace(params.pv_cost_min, params.pv_cost_max, 5)
+    for price, subsidy in zip(prices, subsidies):
+        for cost, utility in zip(costs, _utility(params, annuity, price, costs, subsidy)):
+            direct = agent_utility(float(cost), params, float(price), float(subsidy))
+            # cancellation between the terms bounds the error, not the result
+            scale = (params.annual_generation_kwh * price * annuity
+                     + (1.0 + params.maintenance_rate * annuity) * cost + subsidy)
+            assert abs(utility - direct) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(hnp.arrays(np.float64, st.integers(1, 18), elements=st.floats(-1e5, 1e5)),
+       st.floats(1e-3, 1e3), st.floats(1e-4, 1.0), st.integers(1, 10**6))
+def test_hazard_and_literal_invariants(utilities, alpha, beta, n):
+    p, new, cumulative = deterministic_curve(utilities, alpha, beta, n, "hazard")
+    prior = 0.0
+    for p_t, new_t, level in zip(p, new, cumulative):
+        assert new_t == p_t * (n - prior) and level == prior + new_t
+        # fl(n - prior) may round up, carrying the sum at most one ulp past n
+        assert prior <= level <= n + math.ulp(n)
+        prior = level
+    p, new, cumulative = deterministic_curve(utilities, alpha, beta, n, "literal")
+    prior = 0.0
+    for p_t, new_t, level in zip(p, new, cumulative):
+        assert level == p_t * n and new_t == max(0.0, level - prior)
+        prior = level
