@@ -1,19 +1,32 @@
 """Byte-exact output contract: CLI results on the bundled scenario.
 
-Each case runs `cli_main` with `--out` and compares the written bytes with
-a committed fixture under tests/golden/. Stochastic cases pin the PCG64
-draw stream, so they hold for one numpy build and CPU (see README).
+Each CLI case runs `cli_main` with `--out` and compares the written bytes
+with a committed fixture under tests/golden/. Each render case passes a
+result to `render_result` directly, for outputs the CLI never prints: a
+calibration as CSV, a Monte Carlo summary as JSON, a one-replication
+summary (std exactly 0) and hand-built edge values (-0.0, the smallest
+subnormal, counts in e-notation). Stochastic cases pin the PCG64 draw
+stream, so they hold for one numpy build and CPU (see README).
 To rewrite the fixtures after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from dairypv.calibration import CalibrationTarget, calibrate
 from dairypv.cli import cli_main
-from dairypv.io import default_scenario_path
+from dairypv.domain import SimulationResult, YearRecord
+from dairypv.engine import run_monte_carlo
+from dairypv.io import (
+    default_scenario_path,
+    load_default_scenario,
+    parse_target_observations,
+    render_result,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = default_scenario_path().parent
@@ -28,6 +41,44 @@ CASES = {
 }
 
 
+def _calibration():
+    params, prices, subsidies, _ = load_default_scenario()
+    with open(DATA / "target_2022.csv", "r", encoding="utf-8", newline="") as handle:
+        target = CalibrationTarget(observations=tuple(parse_target_observations(handle)))
+    return calibrate(params, prices, subsidies, target, budget=2000)
+
+
+def _monte_carlo(replications, seed):
+    params, prices, subsidies, _ = load_default_scenario()
+    params = replace(params, mode="stochastic", seed=seed)
+    return run_monte_carlo(params, prices, subsidies,
+                           replications=replications, base_seed=seed)
+
+
+def _edge_values():
+    return SimulationResult(params_digest="edge", records=(
+        YearRecord(year=2005, energy_price=18.0, subsidy=-0.0,
+                   economic_utility=-0.0, probability=5e-324,
+                   new_adopters=-0.0, cumulative_adopters=5e-324),
+        YearRecord(year=2006, energy_price=0.123456789, subsidy=1e6,
+                   economic_utility=-1234567.891, probability=1.0,
+                   new_adopters=18.0, cumulative_adopters=1e6),
+        YearRecord(year=2007, energy_price=1e-7, subsidy=123456.7,
+                   economic_utility=1e21, probability=0.5,
+                   new_adopters=123456.7, cumulative_adopters=1234567.0),
+    ))
+
+
+RENDER_CASES = {
+    "calibrate_target_2022.csv": (_calibration, "csv"),
+    "monte_carlo_r8_seed5.json": (lambda: _monte_carlo(8, 5), "json"),
+    "monte_carlo_r1_seed5.csv": (lambda: _monte_carlo(1, 5), "csv"),
+    "monte_carlo_r1_seed5.json": (lambda: _monte_carlo(1, 5), "json"),
+    "edge_values.csv": (_edge_values, "csv"),
+    "edge_values.json": (_edge_values, "json"),
+}
+
+
 def _render(argv, out):
     command, *rest = argv
     code = cli_main([command, "--config", str(default_scenario_path()), *rest,
@@ -36,12 +87,24 @@ def _render(argv, out):
     return out.read_bytes()
 
 
+def _render_direct(name):
+    build, format = RENDER_CASES[name]
+    return render_result(build(), format).encode("utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_bytes(name, tmp_path):
     assert _render(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_CASES))
+def test_render_matches_golden_bytes(name):
+    assert _render_direct(name) == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         _render(argv, GOLDEN / name)
+    for name in RENDER_CASES:
+        (GOLDEN / name).write_bytes(_render_direct(name))
