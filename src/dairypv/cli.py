@@ -37,7 +37,7 @@ def build_parser():
     run.add_argument("--mode", choices=("deterministic", "stochastic"),
                      help="override the scenario's mode")
     run.add_argument("--seed", type=int, help="override the scenario's seed")
-    run.add_argument("--semantics", choices=("hazard", "literal"),
+    run.add_argument("--semantics", dest="adoption_semantics", choices=("hazard", "literal"),
                      help="override the scenario's adoption semantics")
     run.set_defaults(func=_cmd_run)
 
@@ -68,15 +68,10 @@ def _emit(result, format, out):
 
 def _cmd_run(args):
     params, prices, subsidies, _ = load_scenario(args.config)
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.semantics:
-        overrides["semantics"] = args.semantics
-    if "semantics" in overrides:
-        overrides["adoption_semantics"] = overrides.pop("semantics")
+    overrides = {
+        name: getattr(args, name) for name in ("mode", "seed", "adoption_semantics")
+        if getattr(args, name) is not None
+    }
     if overrides:
         params = replace(params, **overrides)
     result = run_simulation(params, prices, subsidies)

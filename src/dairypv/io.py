@@ -88,22 +88,16 @@ def _parse_rows(stream, value_column, require_contiguous):
                 raise DuplicateYearError(
                     f"line {line}: duplicate year {year}", year=year, line=line
                 )
-            if require_contiguous and year != prev_year + 1:
-                if year > prev_year + 1:
-                    missing = list(range(prev_year + 1, year))
-                    raise YearGapError(
-                        f"line {line}: year gap, missing "
-                        + ", ".join(str(y) for y in missing),
-                        missing_years=missing,
-                        line=line,
-                    )
+            if year < prev_year:
                 raise YearGapError(
                     f"line {line}: years must increase, got {year} after {prev_year}",
                     line=line,
                 )
-            if not require_contiguous and year < prev_year:
+            if require_contiguous and year > prev_year + 1:
+                missing = list(range(prev_year + 1, year))
                 raise YearGapError(
-                    f"line {line}: years must increase, got {year} after {prev_year}",
+                    f"line {line}: year gap, missing " + ", ".join(str(y) for y in missing),
+                    missing_years=missing,
                     line=line,
                 )
         pairs.append((year, value))
@@ -282,99 +276,66 @@ def _fmt(value):
 def _fmt_count(value):
     """Adopter counts: 6 significant digits, but never fewer than 2 decimals."""
     text = _fmt(value)
-    decimals = len(text.partition(".")[2]) if "e" not in text and "E" not in text else 2
+    decimals = len(text.partition(".")[2]) if "e" not in text else 2
     if decimals < 2:
         return format(float(value), ".2f")
     return text
 
 
-def _roundtrip(text):
-    return float(text)
+# Column kinds: (CSV text of a value, JSON value read back from that text).
+# JSON numbers are the printed digits, so the two formats cannot drift.
+_REAL = (_fmt, float)
+_COUNT = (_fmt_count, float)
+_WHOLE = (str, int)
+_FLAG = (lambda value: "true" if value else "false", lambda text: text == "true")
+_YEAR = ("year", _WHOLE)
+
+
+def _table(result):
+    """Return (leading JSON fields, JSON key of the rows, columns, rows).
+
+    A column is (name, kind). With no key, JSON is the single row as a flat
+    object.
+    """
+    if isinstance(result, SimulationResult):
+        columns = (
+            _YEAR, ("energy_price", _REAL), ("subsidy", _REAL),
+            ("economic_utility", _REAL), ("probability", _REAL),
+            ("new_adopters", _COUNT), ("cumulative_adopters", _COUNT),
+        )
+        rows = [[getattr(r, name) for name, _ in columns] for r in result.records]
+        return {"params_digest": result.params_digest}, "records", columns, rows
+    if isinstance(result, MonteCarloSummary):
+        columns = (
+            _YEAR, ("mean_cumulative", _COUNT), ("std_cumulative", _REAL),
+            ("min_cumulative", _COUNT), ("max_cumulative", _COUNT),
+        )
+        rows = [(row.year, row.mean, row.std, row.min, row.max) for row in result.rows]
+        head = {"replications": result.replications, "base_seed": result.base_seed}
+        return head, "years", columns, rows
+    if isinstance(result, CalibrationResult):
+        columns = (
+            ("alpha", _REAL), ("beta", _REAL), ("achieved_loss", _REAL),
+            ("evaluations", _WHOLE), ("converged", _FLAG),
+        )
+        return {}, None, columns, [[getattr(result, name) for name, _ in columns]]
+    raise ValidationError(f"unsupported result type: {type(result).__name__}")
 
 
 def render_result(result, format="csv"):
     """Serialize a result to a CSV or JSON string (byte-stable)."""
     if format not in ("csv", "json"):
         raise ValidationError(f"format must be 'csv' or 'json', got {format!r}")
-    if isinstance(result, SimulationResult):
-        return _render_simulation(result, format)
-    if isinstance(result, MonteCarloSummary):
-        return _render_monte_carlo(result, format)
-    if isinstance(result, CalibrationResult):
-        return _render_calibration(result, format)
-    raise ValidationError(f"unsupported result type: {type(result).__name__}")
-
-
-def _render_simulation(result, format):
+    head, key, columns, rows = _table(result)
+    texts = [[show(value) for (_, (show, _)), value in zip(columns, row)] for row in rows]
     if format == "csv":
-        lines = ["year,energy_price,subsidy,economic_utility,probability,"
-                 "new_adopters,cumulative_adopters"]
-        for r in result.records:
-            lines.append(",".join([
-                str(r.year), _fmt(r.energy_price), _fmt(r.subsidy),
-                _fmt(r.economic_utility), _fmt(r.probability),
-                _fmt_count(r.new_adopters), _fmt_count(r.cumulative_adopters),
-            ]))
+        lines = [",".join(name for name, _ in columns)] + [",".join(row) for row in texts]
         return "\n".join(lines) + "\n"
-    payload = {
-        "params_digest": result.params_digest,
-        "records": [
-            {
-                "year": r.year,
-                "energy_price": _roundtrip(_fmt(r.energy_price)),
-                "subsidy": _roundtrip(_fmt(r.subsidy)),
-                "economic_utility": _roundtrip(_fmt(r.economic_utility)),
-                "probability": _roundtrip(_fmt(r.probability)),
-                "new_adopters": _roundtrip(_fmt_count(r.new_adopters)),
-                "cumulative_adopters": _roundtrip(_fmt_count(r.cumulative_adopters)),
-            }
-            for r in result.records
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _render_monte_carlo(summary, format):
-    if format == "csv":
-        lines = ["year,mean_cumulative,std_cumulative,min_cumulative,max_cumulative"]
-        for row in summary.rows:
-            lines.append(",".join([
-                str(row.year), _fmt_count(row.mean), _fmt(row.std),
-                _fmt_count(row.min), _fmt_count(row.max),
-            ]))
-        return "\n".join(lines) + "\n"
-    payload = {
-        "replications": summary.replications,
-        "base_seed": summary.base_seed,
-        "years": [
-            {
-                "year": row.year,
-                "mean_cumulative": _roundtrip(_fmt_count(row.mean)),
-                "std_cumulative": _roundtrip(_fmt(row.std)),
-                "min_cumulative": _roundtrip(_fmt_count(row.min)),
-                "max_cumulative": _roundtrip(_fmt_count(row.max)),
-            }
-            for row in summary.rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _render_calibration(result, format):
-    if format == "csv":
-        header = "alpha,beta,achieved_loss,evaluations,converged"
-        row = ",".join([
-            _fmt(result.alpha), _fmt(result.beta), _fmt(result.achieved_loss),
-            str(result.evaluations), "true" if result.converged else "false",
-        ])
-        return header + "\n" + row + "\n"
-    payload = {
-        "alpha": _roundtrip(_fmt(result.alpha)),
-        "beta": _roundtrip(_fmt(result.beta)),
-        "achieved_loss": _roundtrip(_fmt(result.achieved_loss)),
-        "evaluations": result.evaluations,
-        "converged": result.converged,
-    }
+    objects = [
+        {name: read(text) for (name, (_, read)), text in zip(columns, row)}
+        for row in texts
+    ]
+    payload = {**head, key: objects} if key else objects[0]
     return json.dumps(payload, indent=2) + "\n"
 
 

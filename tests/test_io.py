@@ -98,6 +98,14 @@ class TestParseTarget:
                 io.StringIO("year,cumulative_adopters\n2022,441\n2022,360\n")
             )
 
+    def test_decreasing_rejected(self):
+        with pytest.raises(YearGapError, match="must increase, got 2010 after 2022") as excinfo:
+            parse_target_observations(
+                io.StringIO("year,cumulative_adopters\n2022,441\n2010,100\n")
+            )
+        assert excinfo.value.line == 3
+        assert excinfo.value.missing_years == ()
+
 
 class TestLoadScenario:
     def test_bundled_default_loads(self, default_bundle):
