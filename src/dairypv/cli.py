@@ -9,9 +9,12 @@ import sys
 from dataclasses import replace
 
 from .calibration import CalibrationTarget, calibrate
+from .domain import ADOPTION_SEMANTICS, MODES
 from .engine import run_monte_carlo, run_simulation
 from .errors import CalibrationFailedError, CoverageGapError, SeriesError, ValidationError
-from .io import load_scenario, parse_target_observations, render_result, write_result
+from .io import (
+    load_scenario, parse_target_observations, read_csv, render_result, write_result,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,10 +37,9 @@ def build_parser():
     run.add_argument("--config", required=True, help="scenario YAML file")
     run.add_argument("--out", help="output file (default: stdout)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--mode", choices=("deterministic", "stochastic"),
-                     help="override the scenario's mode")
+    run.add_argument("--mode", choices=MODES, help="override the scenario's mode")
     run.add_argument("--seed", type=int, help="override the scenario's seed")
-    run.add_argument("--semantics", dest="adoption_semantics", choices=("hazard", "literal"),
+    run.add_argument("--semantics", dest="adoption_semantics", choices=ADOPTION_SEMANTICS,
                      help="override the scenario's adoption semantics")
     run.set_defaults(func=_cmd_run)
 
@@ -81,8 +83,7 @@ def _cmd_run(args):
 
 def _cmd_calibrate(args):
     params, prices, subsidies, _ = load_scenario(args.config)
-    with open(args.target, "r", encoding="utf-8", newline="") as handle:
-        observations = parse_target_observations(handle)
+    observations = read_csv(args.target, parse_target_observations)
     target = CalibrationTarget(observations=tuple(observations))
     result = calibrate(params, prices, subsidies, target, budget=args.budget)
     _emit(result, "json", args.out)

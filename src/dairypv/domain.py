@@ -8,7 +8,9 @@ invariants in __post_init__, raising ValidationError naming the bad field.
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
+from datetime import MAXYEAR, MINYEAR
 
 from .errors import ValidationError
 
@@ -22,8 +24,11 @@ _UINT64_MAX = 2**64 - 1
 
 
 def require_finite(name, value):
-    """Return value as float, rejecting NaN and infinities."""
-    value = float(value)
+    """Return value as float, rejecting NaN, infinities and ints beyond float range."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
@@ -96,7 +101,11 @@ class YearSeries:
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Complete input set for one simulation scenario."""
+    """Complete input set for one simulation scenario.
+
+    The annotations are the schema: a float field takes any finite real but
+    bool and stores it as float; an int field takes an int but not a bool.
+    """
 
     pv_cost_min: MoneyEur
     pv_cost_max: MoneyEur
@@ -114,44 +123,45 @@ class ScenarioParams:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pv_cost_min", require_finite("pv_cost_min", self.pv_cost_min))
-        object.__setattr__(self, "pv_cost_max", require_finite("pv_cost_max", self.pv_cost_max))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValidationError(f"{f.name} must be a real number, got {value!r}")
+                object.__setattr__(self, f.name, require_finite(f.name, value))
+            elif f.type is int or (f.type == int | None and value is not None):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValidationError(f"{f.name} must be an integer, got {value!r}")
         if not 0 <= self.pv_cost_min <= self.pv_cost_max:
             raise ValidationError(
                 "pv_cost_min must satisfy 0 <= pv_cost_min <= pv_cost_max, got "
                 f"[{self.pv_cost_min}, {self.pv_cost_max}]"
             )
-        require_finite("maintenance_rate", self.maintenance_rate)
         if not 0 <= self.maintenance_rate < 1:
             raise ValidationError(
                 f"maintenance_rate must be in [0, 1), got {self.maintenance_rate}"
             )
-        require_finite("discount_rate", self.discount_rate)
         if self.discount_rate <= -1:
             raise ValidationError(f"discount_rate must be > -1, got {self.discount_rate}")
-        if not isinstance(self.total_farmers, int) or isinstance(self.total_farmers, bool):
-            raise ValidationError(f"total_farmers must be an integer, got {self.total_farmers!r}")
         if self.total_farmers < 1:
             raise ValidationError(f"total_farmers must be >= 1, got {self.total_farmers}")
-        for name in ("start_year", "end_year", "horizon_years"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
+        for name in ("start_year", "end_year"):
+            if not MINYEAR <= getattr(self, name) <= MAXYEAR:
+                raise ValidationError(
+                    f"{name} must be in {MINYEAR}-{MAXYEAR}, got {getattr(self, name)}"
+                )
         if self.start_year > self.end_year:
             raise ValidationError(
                 f"start_year must be <= end_year, got {self.start_year} > {self.end_year}"
             )
         if self.horizon_years < 0:
             raise ValidationError(f"horizon_years must be >= 0, got {self.horizon_years}")
-        require_finite("annual_generation_kwh", self.annual_generation_kwh)
         if self.annual_generation_kwh < 0:
             raise ValidationError(
                 f"annual_generation_kwh must be >= 0, got {self.annual_generation_kwh}"
             )
-        require_finite("alpha", self.alpha)
         if self.alpha <= 0:
             raise ValidationError(f"alpha must be > 0, got {self.alpha}")
-        require_finite("beta", self.beta)
         if not 0 < self.beta <= 1:
             raise ValidationError(f"beta must be in (0, 1], got {self.beta}")
         if self.adoption_semantics not in ADOPTION_SEMANTICS:
@@ -161,11 +171,8 @@ class ScenarioParams:
             )
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.seed is not None:
-            if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-                raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-            if not 0 <= self.seed <= _UINT64_MAX:
-                raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
+        if self.seed is not None and not 0 <= self.seed <= _UINT64_MAX:
+            raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
         if self.mode == "stochastic" and self.seed is None:
             raise ValidationError("seed is required when mode is 'stochastic'")
 

@@ -13,7 +13,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -27,6 +27,7 @@ from .errors import (
     BadValueError,
     DuplicateYearError,
     MissingHeaderError,
+    SeriesError,
     ValidationError,
     YearGapError,
 )
@@ -123,32 +124,14 @@ def parse_target_observations(stream):
     return _parse_rows(stream, TARGET_COLUMN, require_contiguous=False)
 
 
-# Scenario file schema: key -> (python types accepted, required).
-_INT = (int,)
-_NUM = (int, float)
-_STR = (str,)
-_SCHEMA = {
-    "pv_cost_min": (_NUM, True),
-    "pv_cost_max": (_NUM, True),
-    "maintenance_rate": (_NUM, True),
-    "discount_rate": (_NUM, True),
-    "total_farmers": (_INT, True),
-    "start_year": (_INT, True),
-    "end_year": (_INT, True),
-    "horizon_years": (_INT, False),
-    "annual_generation_kwh": (_NUM, False),
-    "alpha": (_NUM, False),
-    "beta": (_NUM, False),
-    "adoption_semantics": (_STR, False),
-    "mode": (_STR, False),
-    "seed": (_INT, False),
-    "price_series": (_STR, True),
-    "subsidy_series": (_STR, True),
-    "target_series": (_STR, False),
-    "target_loss": (_STR, False),
+# Scenario keys that are not ScenarioParams fields: key -> required. Their
+# values are strings; ScenarioParams types and checks every other key.
+_NON_PARAM_KEYS = {
+    "price_series": True,
+    "subsidy_series": True,
+    "target_series": False,
+    "target_loss": False,
 }
-# Keys passed on to ScenarioParams; the rest name series files or the loss.
-_PARAM_KEYS = frozenset(f.name for f in fields(ScenarioParams))
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -177,30 +160,41 @@ class LoadedScenario(NamedTuple):
     target: CalibrationTarget | None
 
 
-def _check_config_types(data, path):
+def _param_kwargs(data, path):
+    """Check which keys are present and return the ones ScenarioParams takes.
+
+    A key is required when its ScenarioParams field has no default; no key
+    may be null.
+    """
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: scenario file must be a flat key/value mapping")
-    unknown = sorted(set(data) - set(_SCHEMA))
+    params = {f.name: f.default is MISSING for f in fields(ScenarioParams)}
+    required = {**params, **_NON_PARAM_KEYS}
+    unknown = sorted(set(data) - set(required))
     if unknown:
-        raise ValidationError(
-            f"{path}: unknown keys: " + ", ".join(unknown)
-        )
-    missing = sorted(k for k, (_, required) in _SCHEMA.items() if required and k not in data)
+        raise ValidationError(f"{path}: unknown keys: " + ", ".join(unknown))
+    missing = sorted(k for k, needed in required.items() if needed and k not in data)
     if missing:
         raise ValidationError(f"{path}: missing required keys: " + ", ".join(missing))
     for key, value in data.items():
-        types, _ = _SCHEMA[key]
-        # bool is an int subclass; never a valid scalar here
-        if isinstance(value, bool) or not isinstance(value, types):
-            expected = "/".join(t.__name__ for t in types)
-            raise ValidationError(
-                f"{path}: key {key!r} must be {expected}, got {value!r}"
-            )
+        if value is None:
+            raise ValidationError(f"{path}: key {key!r} must not be null")
+        if key in _NON_PARAM_KEYS and not isinstance(value, str):
+            raise ValidationError(f"{path}: key {key!r} must be a string, got {value!r}")
+    return {k: v for k, v in data.items() if k in params}
 
 
-def _read_series_file(path, value_column):
+def read_csv(path, parse, *args):
+    """Open a CSV file and return parse(handle, *args).
+
+    A SeriesError keeps its type and attributes; its message gains the path.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        return parse_year_series(handle, value_column)
+        try:
+            return parse(handle, *args)
+        except SeriesError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def load_scenario(config_path):
@@ -215,20 +209,15 @@ def load_scenario(config_path):
         raise FileNotFoundError(f"scenario file not found: {config_path}")
     with open(config_path, "r", encoding="utf-8") as handle:
         data = yaml.load(handle, Loader=_UniqueKeyLoader)
-    _check_config_types(data, config_path)
-
-    param_kwargs = {
-        k: float(v) if _SCHEMA[k][0] is _NUM else v
-        for k, v in data.items() if k in _PARAM_KEYS
-    }
+    param_kwargs = _param_kwargs(data, config_path)
     try:
         params = ScenarioParams(**param_kwargs)
     except ValidationError as exc:
         raise ValidationError(f"{config_path}: {exc}") from None
 
     base = config_path.parent
-    prices = _read_series_file(base / data["price_series"], PRICE_COLUMN)
-    subsidies = _read_series_file(base / data["subsidy_series"], SUBSIDY_COLUMN)
+    prices = read_csv(base / data["price_series"], parse_year_series, PRICE_COLUMN)
+    subsidies = read_csv(base / data["subsidy_series"], parse_year_series, SUBSIDY_COLUMN)
     check_series_coverage(prices, "price", params)
     check_series_coverage(subsidies, "subsidy", params)
 
@@ -247,8 +236,7 @@ def load_scenario(config_path):
 
     target = None
     if "target_series" in data:
-        with open(base / data["target_series"], "r", encoding="utf-8", newline="") as handle:
-            observations = parse_target_observations(handle)
+        observations = read_csv(base / data["target_series"], parse_target_observations)
         target = CalibrationTarget(
             observations=tuple(observations),
             loss=data.get("target_loss", "squared_error"),

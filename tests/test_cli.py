@@ -113,6 +113,13 @@ class TestCalibrateCommand:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
+    def test_malformed_target_exits_1_naming_file(self, default_config, tmp_path, capsys):
+        target = tmp_path / "bad_target.csv"
+        target.write_text("year,cumulative_adopters\n2022,441\n2010,50\n")
+        code = cli_main(["calibrate", "--config", default_config, "--target", str(target)])
+        assert code == 1
+        assert f"{target}: line 3: years must increase" in capsys.readouterr().err
+
     def test_out_file(self, default_config, tmp_path):
         target = str(default_scenario_path().parent / "target_2022.csv")
         out = tmp_path / "fit.json"

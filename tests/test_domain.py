@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dairypv.domain import (
@@ -54,6 +55,13 @@ class TestScenarioParams:
             (dict(seed=2**64), "seed"),
             (dict(beta=float("nan")), "beta"),
             (dict(pv_cost_max=float("inf")), "pv_cost_max"),
+            (dict(alpha=True), "alpha"),
+            (dict(discount_rate=True), "discount_rate"),
+            (dict(alpha="2"), "alpha"),
+            (dict(total_farmers=5.0), "total_farmers"),
+            (dict(start_year=0), "start_year"),
+            (dict(end_year=10_000), "end_year"),
+            (dict(alpha=10**400), "alpha"),
         ],
     )
     def test_invalid_fields_are_named(self, overrides, field):
@@ -71,6 +79,11 @@ class TestScenarioParams:
         c = make_params(beta=0.02)
         assert a.digest == b.digest
         assert a.digest != c.digest
+
+    def test_integer_for_real_field_is_stored_as_float(self):
+        p = make_params(alpha=1, pv_cost_min=np.int64(5000))
+        assert type(p.alpha) is float and type(p.pv_cost_min) is float
+        assert p.digest == make_params(alpha=1.0).digest
 
 
 class TestYearSeries:

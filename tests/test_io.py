@@ -150,6 +150,20 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="total_farmers"):
             load_scenario(path)
 
+    def test_null_seed_rejected(self, tmp_path):
+        path = write_scenario(tmp_path)
+        path.write_text(path.read_text() + "seed: null\n")
+        with pytest.raises(ValidationError, match=r"scenario\.yaml: key 'seed' must not be null"):
+            load_scenario(path)
+
+    def test_malformed_series_error_names_file_and_keeps_line(self, tmp_path):
+        subsidies = "year,subsidy_eur\n2005,1000\n2006,abc\n2007,2000\n"
+        path = write_scenario(tmp_path, subsidies=subsidies)
+        with pytest.raises(BadValueError,
+                           match=r"subsidies\.csv: line 3: subsidy_eur 'abc'") as excinfo:
+            load_scenario(path)
+        assert excinfo.value.line == 3
+
     def test_coverage_gap_lists_missing_years(self, tmp_path):
         prices = "year,price_eur_per_kwh\n2006,0.15\n2007,0.16\n"
         path = write_scenario(tmp_path, prices=prices)
