@@ -81,22 +81,16 @@ class CalibrationResult:
     converged: bool
 
     def __post_init__(self):
-        require_finite("alpha", self.alpha)
-        require_finite("beta", self.beta)
-        require_finite("achieved_loss", self.achieved_loss)
+        for name in ("alpha", "beta", "achieved_loss"):
+            require_finite(name, getattr(self, name))
         if self.achieved_loss < 0:
             raise ValidationError(f"achieved_loss must be >= 0, got {self.achieved_loss}")
 
 
 def _check_bounds(alpha, beta):
-    if not ALPHA_BOUNDS[0] <= alpha <= ALPHA_BOUNDS[1]:
-        raise ValidationError(
-            f"alpha candidate {alpha} outside bounds [{ALPHA_BOUNDS[0]}, {ALPHA_BOUNDS[1]}]"
-        )
-    if not BETA_BOUNDS[0] <= beta <= BETA_BOUNDS[1]:
-        raise ValidationError(
-            f"beta candidate {beta} outside bounds [{BETA_BOUNDS[0]}, {BETA_BOUNDS[1]}]"
-        )
+    for name, value, (lo, hi) in (("alpha", alpha, ALPHA_BOUNDS), ("beta", beta, BETA_BOUNDS)):
+        if not lo <= value <= hi:
+            raise ValidationError(f"{name} candidate {value} outside bounds [{lo}, {hi}]")
 
 
 def evaluate_loss(candidate, params, prices, subsidies, target):
@@ -120,7 +114,9 @@ class _Objective:
     """Budget-counting loss in log10 coordinates.
 
     The midpoint-cost utilities do not depend on (alpha, beta), so they are
-    computed once; each evaluation reruns only the hazard recurrence.
+    computed once; each evaluation reruns only the hazard recurrence. A
+    point scored before (Hooke-Jeeves re-polls some) is looked up, but
+    still counts toward the budget.
     """
 
     def __init__(self, params, prices, subsidies, target, budget):
@@ -129,6 +125,7 @@ class _Objective:
         self._observed = [(year - params.start_year, value)
                           for year, value in target.observations]
         self._squared = target.loss == "squared_error"
+        self._scored = {}  # (alpha, beta) -> loss
         self.budget = budget
         self.evaluations = 0
 
@@ -145,11 +142,24 @@ class _Objective:
             total += diff * diff if self._squared else abs(diff)
         return total
 
+    def grid(self, alphas, betas):
+        """(loss, alpha, beta) of every pair, alpha-major, scored in one array pass."""
+        grid = np.meshgrid(alphas, betas, indexing="ij")
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf
+            losses = self.loss(grid[0][..., None], grid[1][..., None])
+        cells = list(zip(*(a.ravel().tolist() for a in (losses, *grid))))
+        self.evaluations += len(cells)
+        self._scored.update(((alpha, beta), loss) for loss, alpha, beta in cells)
+        return cells
+
     def __call__(self, log_alpha, log_beta):
         alpha = _clamp(10.0**log_alpha, *ALPHA_BOUNDS)
         beta = _clamp(10.0**log_beta, *BETA_BOUNDS)
         self.evaluations += 1
-        return self.loss(alpha, beta), alpha, beta
+        loss = self._scored.get((alpha, beta))
+        if loss is None:
+            loss = self._scored[alpha, beta] = self.loss(alpha, beta)
+        return loss, alpha, beta
 
 
 def _explore(objective, point, value, step):
@@ -221,30 +231,20 @@ def calibrate(params, prices, subsidies, target, budget=2000):
     """
     target.validate_against(params)
     if budget < GRID_SIZE:
-        raise ValidationError(
-            f"budget must be >= the grid size {GRID_SIZE}, got {budget}"
-        )
+        raise ValidationError(f"budget must be >= the grid size {GRID_SIZE}, got {budget}")
 
     # logspace endpoints can land one ulp outside the declared bounds
     alphas = np.clip(np.logspace(*_LOG_ALPHA, GRID_POINTS_PER_AXIS), *ALPHA_BOUNDS)
     betas = np.clip(np.logspace(*_LOG_BETA, GRID_POINTS_PER_AXIS), *BETA_BOUNDS)
-    step_alpha = (_LOG_ALPHA[1] - _LOG_ALPHA[0]) / (GRID_POINTS_PER_AXIS - 1)
-    step_beta = (_LOG_BETA[1] - _LOG_BETA[0]) / (GRID_POINTS_PER_AXIS - 1)
-    initial_step = max(step_alpha, step_beta)
+    spans = (_LOG_ALPHA[1] - _LOG_ALPHA[0], _LOG_BETA[1] - _LOG_BETA[0])
+    initial_step = max(spans) / (GRID_POINTS_PER_AXIS - 1)  # the wider log10 grid spacing
 
     objective = _Objective(params, prices, subsidies, target, budget)
-    grid = []
-    for alpha in alphas:
-        for beta in betas:
-            loss = objective.loss(float(alpha), float(beta))
-            objective.evaluations += 1
-            if math.isfinite(loss):
-                grid.append((loss, float(alpha), float(beta)))
+    grid = sorted(cell for cell in objective.grid(alphas, betas) if math.isfinite(cell[0]))
     if not grid:
         raise CalibrationFailedError(
             "no grid point produced a finite loss; calibration cannot proceed"
         )
-    grid.sort()
 
     best_value = grid[0]
     best_converged = False

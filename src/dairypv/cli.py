@@ -8,13 +8,11 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .calibration import CalibrationTarget, calibrate
+from .calibration import calibrate
 from .domain import ADOPTION_SEMANTICS, MODES
 from .engine import run_monte_carlo, run_simulation
 from .errors import CalibrationFailedError, CoverageGapError, SeriesError, ValidationError
-from .io import (
-    load_scenario, parse_target_observations, read_csv, render_result, write_result,
-)
+from .io import load_scenario, read_target, render_result, write_result
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,8 +81,7 @@ def _cmd_run(args):
 
 def _cmd_calibrate(args):
     params, prices, subsidies, _ = load_scenario(args.config)
-    observations = read_csv(args.target, parse_target_observations)
-    target = CalibrationTarget(observations=tuple(observations))
+    target = read_target(args.target, params)
     result = calibrate(params, prices, subsidies, target, budget=args.budget)
     _emit(result, "json", args.out)
     return 0
@@ -109,10 +106,7 @@ def cli_main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValidationError, SeriesError, CoverageGapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, SeriesError, CoverageGapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CalibrationFailedError as exc:

@@ -48,7 +48,8 @@ def _probability_array(utilities, alpha, beta, total_farmers):
     is beta/(1 + e) for x >= 0 and e*beta/(1 + e) for x < 0. The
     exponential never sees a positive argument, so it can underflow but
     never overflow, and results stay strictly inside (0, beta) even for
-    extreme utilities. Every pass after the first writes in place.
+    extreme utilities. Every pass after the first writes in place, so an
+    array alpha or beta must broadcast to the full result shape.
     """
     x = alpha * utilities / total_farmers
     nonneg = x >= 0
@@ -57,7 +58,8 @@ def _probability_array(utilities, alpha, beta, total_farmers):
     p *= beta
     e += 1.0
     p /= e
-    return np.clip(p, _TINY, math.nextafter(beta, 0.0), out=p)
+    cap = np.nextafter(beta, 0.0) if isinstance(beta, np.ndarray) else math.nextafter(beta, 0.0)
+    return np.clip(p, _TINY, cap, out=p)
 
 
 def adoption_probability(economic_utility, alpha, beta, total_farmers):
@@ -81,9 +83,11 @@ def deterministic_curve(utilities, alpha, beta, total_farmers, semantics):
     entry per year. Hazard semantics draw new adopters from the
     not-yet-adopted pool; literal semantics recompute the cumulative level
     as p * N each year (new adopters reported as the non-negative
-    difference).
+    difference). Entries are floats, or, when array alpha and beta give the
+    probabilities leading axes before the year axis, arrays of that shape.
     """
-    probabilities = _probability_array(utilities, alpha, beta, total_farmers).tolist()
+    array = _probability_array(utilities, alpha, beta, total_farmers)
+    probabilities = array.tolist() if array.ndim == 1 else list(np.moveaxis(array, -1, 0))
     new, cumulative = [], []
     prior = 0.0
     for p in probabilities:
@@ -92,7 +96,7 @@ def deterministic_curve(utilities, alpha, beta, total_farmers, semantics):
             level = prior + added
         else:
             level = p * total_farmers
-            added = max(0.0, level - prior)
+            added = np.maximum(0.0, level - prior)
         new.append(added)
         cumulative.append(level)
         prior = level

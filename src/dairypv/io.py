@@ -116,7 +116,7 @@ def parse_year_series(stream, value_column):
     gaps and non-numeric cells, each naming the offending line.
     """
     pairs = _parse_rows(stream, value_column, require_contiguous=True)
-    return YearSeries.from_pairs(pairs)
+    return YearSeries(first_year=pairs[0][0], values=tuple(v for _, v in pairs))
 
 
 def parse_target_observations(stream):
@@ -197,6 +197,17 @@ def read_csv(path, parse, *args):
             raise
 
 
+def read_target(path, params, loss="squared_error", named=None):
+    """Read a target CSV and check it against params; errors name `named` or the CSV."""
+    observations = tuple(read_csv(path, parse_target_observations))
+    try:
+        target = CalibrationTarget(observations=observations, loss=loss)
+        target.validate_against(params)
+    except ValidationError as exc:
+        raise ValidationError(f"{named or path}: {exc}") from None
+    return target
+
+
 def load_scenario(config_path):
     """Load and fully validate a scenario bundle from a YAML config file.
 
@@ -236,12 +247,8 @@ def load_scenario(config_path):
 
     target = None
     if "target_series" in data:
-        observations = read_csv(base / data["target_series"], parse_target_observations)
-        target = CalibrationTarget(
-            observations=tuple(observations),
-            loss=data.get("target_loss", "squared_error"),
-        )
-        target.validate_against(params)
+        target = read_target(base / data["target_series"], params,
+                             data.get("target_loss", "squared_error"), config_path)
 
     return LoadedScenario(params=params, prices=prices, subsidies=subsidies, target=target)
 

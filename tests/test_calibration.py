@@ -10,6 +10,7 @@ from dairypv.calibration import (
     GRID_POINTS_PER_AXIS,
     GRID_SIZE,
     CalibrationTarget,
+    _Objective,
     calibrate,
     evaluate_loss,
 )
@@ -174,3 +175,29 @@ class TestCalibrate:
         bad = CalibrationTarget(observations=((1999, 10.0),))
         with pytest.raises(ValidationError, match="1999"):
             calibrate(default_params, price_series, subsidy_series, bad)
+
+
+@pytest.mark.parametrize("observations", [
+    ((2022, 441.0),),
+    ((2008, 641.0), (2013, 1425.0)),
+    ((2005, 57.0), (2007, 173.0), (2020, 942.0)),
+])
+def test_no_point_is_scored_twice(default_params, price_series, subsidy_series, monkeypatch,
+                                  observations):
+    scored = []
+    loss = _Objective.loss
+
+    def recording_loss(self, alpha, beta):
+        if isinstance(alpha, np.ndarray):
+            scored.extend(zip(alpha.ravel().tolist(), beta.ravel().tolist()))
+        else:
+            scored.append((alpha, beta))
+        return loss(self, alpha, beta)
+
+    monkeypatch.setattr(_Objective, "loss", recording_loss)
+    target = CalibrationTarget(observations=observations)
+    result = calibrate(default_params, price_series, subsidy_series, target, budget=2000)
+    assert result.evaluations == 2000
+    assert len(set(scored)) == len(scored)
+    # Hooke-Jeeves re-polls points, so fewer points are scored than evaluated
+    assert GRID_SIZE < len(scored) < result.evaluations

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import dairypv
 from dairypv.cli import cli_main
 from dairypv.io import default_scenario_path
 
@@ -83,6 +88,17 @@ class TestRunCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+def bundled_config_copy(tmp_path, **overrides):
+    """The bundled scenario with absolute series paths and overrides, as a file."""
+    data = yaml.safe_load(default_scenario_path().read_text())
+    for key in ("price_series", "subsidy_series", "target_series"):
+        data[key] = str(default_scenario_path().parent / data[key])
+    data.update(overrides)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
 class TestCalibrateCommand:
     def test_calibrate_then_run_reproduces_441(self, default_config, tmp_path, capsys):
         target = str(default_scenario_path().parent / "target_2022.csv")
@@ -119,6 +135,42 @@ class TestCalibrateCommand:
         code = cli_main(["calibrate", "--config", default_config, "--target", str(target)])
         assert code == 1
         assert f"{target}: line 3: years must increase" in capsys.readouterr().err
+
+    def test_target_outside_scenario_names_target_file(self, default_config, tmp_path,
+                                                        capsys):
+        target = tmp_path / "late_target.csv"
+        target.write_text("year,cumulative_adopters\n2030,441\n")
+        code = cli_main(["calibrate", "--config", default_config, "--target", str(target)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {target}: target year 2030 outside scenario range 2005-2022\n")
+
+    def test_target_series_outside_scenario_names_config(self, tmp_path, capsys):
+        target = tmp_path / "late_target.csv"
+        target.write_text("year,cumulative_adopters\n2022,20000\n")
+        config = bundled_config_copy(tmp_path, target_series=str(target))
+        code = cli_main(["run", "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: target value 20000.0 for year 2022 outside [0, 18000]\n")
+
+    def test_no_finite_grid_loss_exits_2(self, tmp_path):
+        # every loss overflows: (p*N - 1e299)**2 exceeds the float range
+        config = bundled_config_copy(tmp_path, total_farmers=10**300)
+        target = tmp_path / "huge_target.csv"
+        target.write_text("year,cumulative_adopters\n2022,1e299\n")
+        src = str(Path(dairypv.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dairypv.cli", "calibrate", "--config", str(config),
+             "--target", str(target)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("calibration failed: no grid point produced a finite loss; "
+                               "calibration cannot proceed\n")
 
     def test_out_file(self, default_config, tmp_path):
         target = str(default_scenario_path().parent / "target_2022.csv")

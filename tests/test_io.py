@@ -1,5 +1,6 @@
 import io
 import json
+import tempfile
 
 import pytest
 import yaml
@@ -183,6 +184,13 @@ class TestLoadScenario:
         loaded = load_scenario(path)
         assert loaded.target.observations == ((2007, 50.0),)
 
+    def test_bad_target_loss_names_config(self, tmp_path):
+        (tmp_path / "target.csv").write_text("year,cumulative_adopters\n2007,50\n")
+        path = write_scenario(tmp_path, config={"target_series": "target.csv",
+                                                "target_loss": "rmse"})
+        with pytest.raises(ValidationError, match=f"^{path}: loss must be one of"):
+            load_scenario(path)
+
     def test_unpacks_as_tuple(self, tmp_path):
         path = write_scenario(tmp_path)
         params, prices, subsidies, target = load_scenario(path)
@@ -301,3 +309,36 @@ class TestWriteResult:
         out = tmp_path / "result.json"
         write_result(small_result(), "json", out)
         assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+
+
+def _raise_on_replace(src, dst):
+    raise OSError("replace refused")
+
+
+_NamedTemporaryFile = tempfile.NamedTemporaryFile
+
+
+def _temp_file_whose_write_raises(*args, **kwargs):
+    handle = _NamedTemporaryFile(*args, **kwargs)
+
+    def write(text):
+        raise OSError("disk full")
+
+    handle.write = write
+    return handle
+
+
+@pytest.mark.parametrize("patch", [
+    ("os.replace", _raise_on_replace),
+    ("tempfile.NamedTemporaryFile", _temp_file_whose_write_raises),
+])
+def test_failed_write_keeps_existing_output_and_leaves_no_temp_file(tmp_path, monkeypatch,
+                                                                    patch):
+    out = tmp_path / "result.csv"
+    out.write_bytes(b"previous result\n")
+    monkeypatch.setattr(*patch)
+    with pytest.raises(OSError):
+        write_result(small_result(), "csv", out)
+    monkeypatch.undo()
+    assert out.read_bytes() == b"previous result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.csv"]

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dairypv.calibration import (
+    ALPHA_BOUNDS,
+    BETA_BOUNDS,
+    GRID_POINTS_PER_AXIS,
+    CalibrationTarget,
+    _Objective,
+)
 from dairypv.domain import ScenarioParams
+from dairypv.io import load_default_scenario
 from dairypv.economics import agent_utility
 from dairypv.engine import (
     _TINY,
@@ -155,3 +163,48 @@ def test_hazard_and_literal_invariants(utilities, alpha, beta, n):
     for p_t, new_t, level in zip(p, new, cumulative):
         assert level == p_t * n and new_t == max(0.0, level - prior)
         prior = level
+
+
+@SETTINGS
+@given(hnp.arrays(np.float64, st.integers(1, 18), elements=st.floats(-1e5, 1e5)),
+       st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-4, 1.0)), min_size=1,
+                max_size=5),
+       st.integers(1, 10**6), st.sampled_from(["hazard", "literal"]))
+def test_curve_over_leading_axis_equals_one_curve_per_row(utilities, pairs, n, semantics):
+    alphas = np.array([[a] for a, _ in pairs])
+    betas = np.array([[b] for _, b in pairs])
+    columns = deterministic_curve(utilities, alphas, betas, n, semantics)
+    for row, (alpha, beta) in enumerate(pairs):
+        expected = deterministic_curve(utilities, alpha, beta, n, semantics)
+        for got, want in zip(columns, expected):
+            assert [year[row] for year in got] == want
+
+
+@st.composite
+def calibration_targets(draw):
+    """1-3 observations of the bundled 2005-2022 scenario at a random N."""
+    n = draw(st.integers(1, 10**9))
+    years = draw(st.lists(st.integers(2005, 2022), min_size=1, max_size=3, unique=True))
+    values = draw(st.lists(st.floats(0.0, n), min_size=len(years), max_size=len(years)))
+    loss = draw(st.sampled_from(["squared_error", "absolute_error"]))
+    return n, CalibrationTarget(observations=tuple(zip(years, values)), loss=loss)
+
+
+@settings(max_examples=60, deadline=None)
+@given(calibration_targets(), reals(0.0, 40000.0))
+def test_grid_losses_equal_scalar_losses(drawn, cost):
+    n, target = drawn
+    params, prices, subsidies, _ = load_default_scenario()
+    params = ScenarioParams(**{**vars(params), "total_farmers": n,
+                               "pv_cost_min": cost, "pv_cost_max": cost})
+    objective = _Objective(params, prices, subsidies, target, budget=1)
+    alphas = np.clip(np.logspace(math.log10(ALPHA_BOUNDS[0]), math.log10(ALPHA_BOUNDS[1]),
+                                 GRID_POINTS_PER_AXIS), *ALPHA_BOUNDS)
+    betas = np.clip(np.logspace(math.log10(BETA_BOUNDS[0]), math.log10(BETA_BOUNDS[1]),
+                                GRID_POINTS_PER_AXIS), *BETA_BOUNDS)
+    grid = objective.grid(alphas, betas)
+    array_losses = np.array([loss for loss, _, _ in grid]).reshape(len(alphas), len(betas))
+    scalar_losses = np.array([[objective.loss(float(a), float(b)) for b in betas]
+                              for a in alphas])
+    assert np.array_equal(array_losses, scalar_losses)
+    assert [(a, b) for _, a, b in grid] == [(float(a), float(b)) for a in alphas for b in betas]
