@@ -106,17 +106,8 @@ class TestCalibrateCommand:
                          "--budget", "1200"])
         assert code == 0
         fit = json.loads(capsys.readouterr().out)
-
-        # rebuild a config carrying the fitted parameters
-        data = yaml.safe_load(default_scenario_path().read_text())
-        data["alpha"] = float(fit["alpha"])
-        data["beta"] = float(fit["beta"])
-        for key in ("price_series", "subsidy_series", "target_series"):
-            if key in data:
-                data[key] = str(default_scenario_path().parent / data[key])
-        fitted_config = tmp_path / "fitted.yaml"
-        fitted_config.write_text(yaml.safe_dump(data))
-
+        fitted_config = bundled_config_copy(tmp_path, alpha=float(fit["alpha"]),
+                                            beta=float(fit["beta"]))
         out = tmp_path / "fitted.csv"
         assert cli_main(["run", "--config", str(fitted_config), "--out", str(out)]) == 0
         final = float(out.read_text().splitlines()[-1].split(",")[-1])

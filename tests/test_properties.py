@@ -1,6 +1,7 @@
 """Property tests for the engine kernels and the stochastic yearly loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -195,8 +196,7 @@ def calibration_targets(draw):
 def test_grid_losses_equal_scalar_losses(drawn, cost):
     n, target = drawn
     params, prices, subsidies, _ = load_default_scenario()
-    params = ScenarioParams(**{**vars(params), "total_farmers": n,
-                               "pv_cost_min": cost, "pv_cost_max": cost})
+    params = replace(params, total_farmers=n, pv_cost_min=cost, pv_cost_max=cost)
     objective = _Objective(params, prices, subsidies, target, budget=1)
     alphas = np.clip(np.logspace(math.log10(ALPHA_BOUNDS[0]), math.log10(ALPHA_BOUNDS[1]),
                                  GRID_POINTS_PER_AXIS), *ALPHA_BOUNDS)
