@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import require_finite
-from .engine import deterministic_curve, representative_utilities
+from .engine import _capped, _logistic, adoption_curve, representative_utilities
 from .errors import CalibrationFailedError, ValidationError
 
 ALPHA_BOUNDS = (1e-3, 100.0)
@@ -114,17 +114,20 @@ class _Objective:
     """Budget-counting loss in log10 coordinates.
 
     The midpoint-cost utilities do not depend on (alpha, beta), so they are
-    computed once; each evaluation reruns only the hazard recurrence. A
-    point scored before (Hooke-Jeeves re-polls some) is looked up, but
-    still counts toward the budget.
+    computed once, up to the last observed year; the kernel's alpha half is
+    computed once per alpha, so a beta poll reruns only the beta half and
+    the hazard recurrence. A point scored before (Hooke-Jeeves re-polls
+    some) is looked up, but still counts toward the budget.
     """
 
     def __init__(self, params, prices, subsidies, target, budget):
-        self._utilities = representative_utilities(params, prices, subsidies)
-        self._total = params.total_farmers
         self._observed = [(year - params.start_year, value)
                           for year, value in target.observations]
+        last = max(index for index, _ in self._observed)
+        self._utilities = representative_utilities(params, prices, subsidies)[:last + 1]
+        self._total = params.total_farmers
         self._squared = target.loss == "squared_error"
+        self._halves = {}  # alpha -> (s, d) from engine._logistic
         self._scored = {}  # (alpha, beta) -> loss
         self.budget = budget
         self.evaluations = 0
@@ -134,8 +137,13 @@ class _Objective:
         return self.evaluations >= self.budget
 
     def loss(self, alpha, beta):
-        _, _, cumulative = deterministic_curve(
-            self._utilities, alpha, beta, self._total, "hazard")
+        if alpha not in self._halves:
+            self._halves[alpha] = _logistic(self._utilities, alpha, self._total)
+        return self._score(self._halves[alpha], beta)
+
+    def _score(self, halves, beta):
+        """Loss from an alpha half: the beta half, the hazard recurrence and the sum."""
+        _, _, cumulative = adoption_curve(_capped(halves, beta), self._total, "hazard")
         total = 0.0
         for index, observed in self._observed:
             diff = cumulative[index] - observed
@@ -144,9 +152,11 @@ class _Objective:
 
     def grid(self, alphas, betas):
         """(loss, alpha, beta) of every pair, alpha-major, scored in one array pass."""
-        grid = np.meshgrid(alphas, betas, indexing="ij")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf
-            losses = self.loss(grid[0][..., None], grid[1][..., None])
+            s, d = _logistic(self._utilities, alphas[:, None], self._total)
+            self._halves.update(zip(alphas.tolist(), zip(s, d)))
+            losses = self._score((s[:, None], d[:, None]), betas[:, None])
+        grid = np.meshgrid(alphas, betas, indexing="ij")
         cells = list(zip(*(a.ravel().tolist() for a in (losses, *grid))))
         self.evaluations += len(cells)
         self._scored.update(((alpha, beta), loss) for loss, alpha, beta in cells)

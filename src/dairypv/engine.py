@@ -41,25 +41,34 @@ def _utility(params, annuity, energy_price, pv_cost, subsidy):
             - (1.0 + params.maintenance_rate * annuity) * pv_cost + subsidy)
 
 
-def _probability_array(utilities, alpha, beta, total_farmers):
-    """Probability kernel: logistic in utility per farmer, capped by beta.
+def _logistic(utilities, alpha, total_farmers):
+    """Alpha half of the probability kernel: (s, d), where p = beta*s/d.
 
-    With x = alpha*U/N and e = exp(-|x|), the logistic beta/(1 + exp(-x))
-    is beta/(1 + e) for x >= 0 and e*beta/(1 + e) for x < 0. The
-    exponential never sees a positive argument, so it can underflow but
-    never overflow, and results stay strictly inside (0, beta) even for
-    extreme utilities. Every pass after the first writes in place, so an
-    array alpha or beta must broadcast to the full result shape.
+    With x = alpha*U/N and e = exp(-|x|), beta/(1 + exp(-x)) is beta/(1 + e)
+    for x >= 0 and e*beta/(1 + e) for x < 0: s = where(x >= 0, 1, e), d = 1 + e.
+    exp never sees a positive argument, so it can underflow but never overflow.
     """
     x = alpha * utilities / total_farmers
     nonneg = x >= 0
     e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
-    p = np.where(nonneg, 1.0, e)
-    p *= beta
+    s = np.where(nonneg, 1.0, e)
     e += 1.0
-    p /= e
+    return s, e
+
+
+def _capped(halves, beta, out=None):
+    """Beta half: beta*s/d clamped strictly inside (0, beta) even for extreme utilities."""
+    s, d = halves
+    p = np.multiply(s, beta, out=out)
+    p /= d
     cap = np.nextafter(beta, 0.0) if isinstance(beta, np.ndarray) else math.nextafter(beta, 0.0)
-    return np.clip(p, _TINY, cap, out=p)
+    return p.clip(_TINY, cap, out=p)
+
+
+def _probability_array(utilities, alpha, beta, total_farmers):
+    """Probability kernel in place, so an array alpha or beta must broadcast to the result."""
+    halves = _logistic(utilities, alpha, total_farmers)
+    return _capped(halves, beta, out=halves[0])
 
 
 def adoption_probability(economic_utility, alpha, beta, total_farmers):
@@ -77,16 +86,20 @@ def adoption_probability(economic_utility, alpha, beta, total_farmers):
 
 
 def deterministic_curve(utilities, alpha, beta, total_farmers, semantics):
-    """Expected adoption path for a sequence of yearly utilities.
+    """Expected adoption path for a sequence of yearly utilities; see adoption_curve."""
+    return adoption_curve(_probability_array(utilities, alpha, beta, total_farmers),
+                          total_farmers, semantics)
+
+
+def adoption_curve(array, total_farmers, semantics):
+    """Expected adoption path for yearly probabilities, year axis last.
 
     Returns (probabilities, new_adopters, cumulative_adopters) as lists, one
-    entry per year. Hazard semantics draw new adopters from the
-    not-yet-adopted pool; literal semantics recompute the cumulative level
-    as p * N each year (new adopters reported as the non-negative
-    difference). Entries are floats, or, when array alpha and beta give the
-    probabilities leading axes before the year axis, arrays of that shape.
+    entry per year: floats, or arrays of the leading axes' shape. Hazard
+    semantics draw new adopters from the not-yet-adopted pool; literal
+    semantics recompute the cumulative level as p * N each year (new
+    adopters reported as the non-negative difference).
     """
-    array = _probability_array(utilities, alpha, beta, total_farmers)
     probabilities = array.tolist() if array.ndim == 1 else list(np.moveaxis(array, -1, 0))
     new, cumulative = [], []
     prior = 0.0

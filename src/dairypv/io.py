@@ -134,8 +134,8 @@ _NON_PARAM_KEYS = {
 }
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that rejects a mapping key given twice (plain YAML keeps the last)."""
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader (libyaml when built) rejecting a key given twice; YAML keeps the last."""
 
     def construct_mapping(self, node, deep=False):
         mapping = super().construct_mapping(node, deep)
@@ -143,10 +143,8 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         for key_node, _ in node.value:
             key = self.construct_object(key_node)
             if key in seen:
-                mark = key_node.start_mark
-                raise ValidationError(
-                    f"{mark.name}: duplicate key {key!r} on line {mark.line + 1}"
-                )
+                line = key_node.start_mark.line + 1
+                raise ValidationError(f"duplicate key {key!r} on line {line}")
             seen.add(key)
         return mapping
 
@@ -160,27 +158,27 @@ class LoadedScenario(NamedTuple):
     target: CalibrationTarget | None
 
 
-def _param_kwargs(data, path):
+def _param_kwargs(data):
     """Check which keys are present and return the ones ScenarioParams takes.
 
     A key is required when its ScenarioParams field has no default; no key
     may be null.
     """
     if not isinstance(data, dict):
-        raise ValidationError(f"{path}: scenario file must be a flat key/value mapping")
+        raise ValidationError("scenario file must be a flat key/value mapping")
     params = {f.name: f.default is MISSING for f in fields(ScenarioParams)}
     required = {**params, **_NON_PARAM_KEYS}
     unknown = sorted(set(data) - set(required))
     if unknown:
-        raise ValidationError(f"{path}: unknown keys: " + ", ".join(unknown))
+        raise ValidationError("unknown keys: " + ", ".join(unknown))
     missing = sorted(k for k, needed in required.items() if needed and k not in data)
     if missing:
-        raise ValidationError(f"{path}: missing required keys: " + ", ".join(missing))
+        raise ValidationError("missing required keys: " + ", ".join(missing))
     for key, value in data.items():
         if value is None:
-            raise ValidationError(f"{path}: key {key!r} must not be null")
+            raise ValidationError(f"key {key!r} must not be null")
         if key in _NON_PARAM_KEYS and not isinstance(value, str):
-            raise ValidationError(f"{path}: key {key!r} must be a string, got {value!r}")
+            raise ValidationError(f"key {key!r} must be a string, got {value!r}")
     return {k: v for k, v in data.items() if k in params}
 
 
@@ -218,12 +216,11 @@ def load_scenario(config_path):
     config_path = Path(config_path)
     if not config_path.is_file():
         raise FileNotFoundError(f"scenario file not found: {config_path}")
-    with open(config_path, "r", encoding="utf-8") as handle:
-        data = yaml.load(handle, Loader=_UniqueKeyLoader)
-    param_kwargs = _param_kwargs(data, config_path)
     try:
-        params = ScenarioParams(**param_kwargs)
-    except ValidationError as exc:
+        with open(config_path, "r", encoding="utf-8") as handle:
+            data = yaml.load(handle, Loader=_UniqueKeyLoader)
+        params = ScenarioParams(**_param_kwargs(data))
+    except (yaml.YAMLError, ValidationError) as exc:
         raise ValidationError(f"{config_path}: {exc}") from None
 
     base = config_path.parent

@@ -1,9 +1,11 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dairypv import calibration
 from dairypv.calibration import (
     ALPHA_BOUNDS,
     BETA_BOUNDS,
@@ -177,27 +179,56 @@ class TestCalibrate:
             calibrate(default_params, price_series, subsidy_series, bad)
 
 
-@pytest.mark.parametrize("observations", [
+OBSERVATIONS = [
     ((2022, 441.0),),
     ((2008, 641.0), (2013, 1425.0)),
     ((2005, 57.0), (2007, 173.0), (2020, 942.0)),
-])
+]
+
+
+@pytest.mark.parametrize("observations", OBSERVATIONS)
 def test_no_point_is_scored_twice(default_params, price_series, subsidy_series, monkeypatch,
                                   observations):
     scored = []
-    loss = _Objective.loss
+    score = _Objective._score
 
-    def recording_loss(self, alpha, beta):
-        if isinstance(alpha, np.ndarray):
-            scored.extend(zip(alpha.ravel().tolist(), beta.ravel().tolist()))
+    def recording_score(self, halves, beta):
+        if isinstance(beta, np.ndarray):  # the grid: every alpha it stored, every beta
+            scored.extend(itertools.product(self._halves, beta.ravel().tolist()))
         else:
-            scored.append((alpha, beta))
-        return loss(self, alpha, beta)
+            scored.append((next(a for a, h in self._halves.items() if h is halves), beta))
+        return score(self, halves, beta)
 
-    monkeypatch.setattr(_Objective, "loss", recording_loss)
+    monkeypatch.setattr(_Objective, "_score", recording_score)
     target = CalibrationTarget(observations=observations)
     result = calibrate(default_params, price_series, subsidy_series, target, budget=2000)
     assert result.evaluations == 2000
     assert len(set(scored)) == len(scored)
     # Hooke-Jeeves re-polls points, so fewer points are scored than evaluated
     assert GRID_SIZE < len(scored) < result.evaluations
+
+
+@pytest.mark.parametrize("observations", OBSERVATIONS)
+def test_alpha_half_is_computed_once_per_scored_alpha(
+        default_params, price_series, subsidy_series, monkeypatch, observations):
+    computed, polled = [], []
+    logistic, loss = calibration._logistic, _Objective.loss
+
+    def recording_logistic(utilities, alpha, total_farmers):
+        computed.extend(np.ravel(alpha).tolist())
+        return logistic(utilities, alpha, total_farmers)
+
+    def recording_loss(self, alpha, beta):
+        polled.append(alpha)
+        return loss(self, alpha, beta)
+
+    monkeypatch.setattr(calibration, "_logistic", recording_logistic)
+    monkeypatch.setattr(_Objective, "loss", recording_loss)
+    target = CalibrationTarget(observations=observations)
+    calibrate(default_params, price_series, subsidy_series, target, budget=2000)
+    grid_alphas = np.clip(np.logspace(math.log10(ALPHA_BOUNDS[0]), math.log10(ALPHA_BOUNDS[1]),
+                                      GRID_POINTS_PER_AXIS), *ALPHA_BOUNDS).tolist()
+    assert len(set(computed)) == len(computed)
+    assert set(computed) == set(grid_alphas) | set(polled)
+    # beta polls reuse an alpha, so fewer alpha halves are computed than points polled
+    assert len(computed) < GRID_POINTS_PER_AXIS + len(polled)

@@ -66,6 +66,17 @@ class TestRunCommand:
         assert code == 1
         assert "duplicate key 'total_farmers'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "pv_cost_min: [5000\nbeta: 0.02\n",
+        "pv_cost_min: !!python/object:os.system [echo]\n",
+    ], ids=["syntax_error", "unsafe_tag"])
+    def test_malformed_scenario_yaml_exits_1_naming_file(self, tmp_path, capsys, text):
+        path = write_scenario(tmp_path)
+        path.write_text(text + path.read_text())
+        code = cli_main(["run", "--config", str(path)])
+        assert code == 1
+        assert f"error: {path}: " in capsys.readouterr().err
+
     def test_stochastic_without_seed_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         code = cli_main(["run", "--config", str(path), "--mode", "stochastic"])

@@ -21,6 +21,8 @@ from dairypv.economics import agent_utility
 from dairypv.engine import (
     _TINY,
     _annuity,
+    _capped,
+    _logistic,
     _probability_array,
     _stochastic_years,
     _utility,
@@ -64,6 +66,16 @@ def test_kernel_matches_two_branch_formula_inside_open_interval(utilities, alpha
         p = _probability_array(utilities, alpha, beta, n)
     assert p.tobytes() == expected.tobytes()
     assert np.all(p > 0.0) and np.all(p < beta)
+
+
+@SETTINGS
+@given(utility_arrays, alphas, betas, farmer_counts)
+def test_kernel_halves_match_two_branch_formula_in_and_out_of_place(utilities, alpha, beta, n):
+    with np.errstate(over="ignore"):
+        expected = two_branch_probability(utilities, alpha, beta, n).tobytes()
+        halves = _logistic(utilities, alpha, n)
+        assert _capped(halves, beta).tobytes() == expected
+        assert _capped(halves, beta, out=halves[0]).tobytes() == expected
 
 
 @SETTINGS
@@ -197,14 +209,15 @@ def test_grid_losses_equal_scalar_losses(drawn, cost):
     n, target = drawn
     params, prices, subsidies, _ = load_default_scenario()
     params = replace(params, total_farmers=n, pv_cost_min=cost, pv_cost_max=cost)
-    objective = _Objective(params, prices, subsidies, target, budget=1)
     alphas = np.clip(np.logspace(math.log10(ALPHA_BOUNDS[0]), math.log10(ALPHA_BOUNDS[1]),
                                  GRID_POINTS_PER_AXIS), *ALPHA_BOUNDS)
     betas = np.clip(np.logspace(math.log10(BETA_BOUNDS[0]), math.log10(BETA_BOUNDS[1]),
                                 GRID_POINTS_PER_AXIS), *BETA_BOUNDS)
-    grid = objective.grid(alphas, betas)
+    grid = _Objective(params, prices, subsidies, target, budget=1).grid(alphas, betas)
     array_losses = np.array([loss for loss, _, _ in grid]).reshape(len(alphas), len(betas))
-    scalar_losses = np.array([[objective.loss(float(a), float(b)) for b in betas]
+    # a fresh objective: its alpha halves come from one-alpha kernel calls, not grid rows
+    scalar = _Objective(params, prices, subsidies, target, budget=1)
+    scalar_losses = np.array([[scalar.loss(float(a), float(b)) for b in betas]
                               for a in alphas])
     assert np.array_equal(array_losses, scalar_losses)
     assert [(a, b) for _, a, b in grid] == [(float(a), float(b)) for a in alphas for b in betas]
