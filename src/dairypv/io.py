@@ -220,7 +220,7 @@ def load_scenario(config_path):
         with open(config_path, "r", encoding="utf-8") as handle:
             data = yaml.load(handle, Loader=_UniqueKeyLoader)
         params = ScenarioParams(**_param_kwargs(data))
-    except (yaml.YAMLError, ValidationError) as exc:
+    except (yaml.YAMLError, ValidationError) as exc:  # every config error names the file
         raise ValidationError(f"{config_path}: {exc}") from None
 
     base = config_path.parent
