@@ -173,56 +173,50 @@ class _Objective:
 
 
 def _explore(objective, point, value, step):
-    """One Hooke-Jeeves exploratory sweep: poll +/-step on each coordinate."""
-    point = list(point)
-    candidate = value  # (loss, alpha, beta)
+    """One Hooke-Jeeves exploratory sweep: poll +/-step on each coordinate.
+
+    A loss is >= 0, +inf or NaN, and neither inf nor NaN compares lower than
+    anything: a sweep never moves to a non-finite poll, nor from a NaN value.
+    """
     for axis, bounds in enumerate((_LOG_ALPHA, _LOG_BETA)):
         for direction in (step, -step):
             if objective.exhausted:
-                return tuple(point), candidate
-            coord = _clamp(point[axis] + direction, *bounds)
-            if coord == point[axis]:
-                continue
+                return point, value
             trial = list(point)
-            trial[axis] = coord
-            result = objective(trial[0], trial[1])
-            if math.isfinite(result[0]) and result[0] < candidate[0]:
-                point, candidate = trial, result
+            trial[axis] = _clamp(point[axis] + direction, *bounds)
+            if trial[axis] == point[axis]:
+                continue
+            result = objective(*trial)
+            if result[0] < value[0]:
+                point, value = tuple(trial), result
                 break
-    return tuple(point), candidate
+    return point, value
 
 
-def _pattern_search(objective, start_point, start_value, initial_step):
+def _pattern_search(objective, point, value, step):
     """Hooke-Jeeves refinement from one start; returns (value, reached_tol).
 
     `value` tuples are (loss, alpha, beta) so comparisons apply the
-    deterministic tie-break directly.
+    deterministic tie-break directly. After a move from `previous` to `point`
+    the next sweep starts at the pattern probe 2*point - previous; a failed
+    probe sweep falls back to `point`, and a failed sweep there halves the step.
     """
-    base, base_value = start_point, start_value
-    step = initial_step
-    while not objective.exhausted:
-        if step < REFINE_TOLERANCE:
-            return base_value, True
-        new, new_value = _explore(objective, base, base_value, step)
-        if new_value[0] < base_value[0]:
-            # Pattern moves: keep doubling along the successful direction
-            # while it pays off (accelerates through curved valleys).
-            while not objective.exhausted:
-                probe = (
-                    _clamp(2.0 * new[0] - base[0], *_LOG_ALPHA),
-                    _clamp(2.0 * new[1] - base[1], *_LOG_BETA),
-                )
-                base, base_value = new, new_value
-                probe_value = objective(probe[0], probe[1])
-                cand, cand_value = _explore(objective, probe, probe_value, step)
-                if math.isfinite(cand_value[0]) and cand_value[0] < base_value[0]:
-                    new, new_value = cand, cand_value
-                else:
-                    break
-            base, base_value = new, new_value
+    previous = None
+    while not objective.exhausted and step >= REFINE_TOLERANCE:
+        if previous is None:
+            origin, origin_value = point, value
         else:
+            origin = (_clamp(2.0 * point[0] - previous[0], *_LOG_ALPHA),
+                      _clamp(2.0 * point[1] - previous[1], *_LOG_BETA))
+            origin_value = objective(*origin)
+        new, new_value = _explore(objective, origin, origin_value, step)
+        if new_value[0] < value[0]:
+            previous, point, value = point, new, new_value
+        elif previous is None:
             step /= 2.0
-    return base_value, step < REFINE_TOLERANCE
+        else:
+            previous = None
+    return value, step < REFINE_TOLERANCE
 
 
 def calibrate(params, prices, subsidies, target, budget=2000):
@@ -256,24 +250,19 @@ def calibrate(params, prices, subsidies, target, budget=2000):
             "no grid point produced a finite loss; calibration cannot proceed"
         )
 
-    best_value = grid[0]
-    best_converged = False
+    best = (grid[0], True)  # ((loss, alpha, beta), not converged): ties go to converged
     for start in grid:
         if objective.exhausted:
             break
         point = (math.log10(start[1]), math.log10(start[2]))
         value, reached_tol = _pattern_search(objective, point, start, initial_step)
-        if value < best_value:  # (loss, alpha, beta) tuple tie-break
-            best_value = value
-            best_converged = reached_tol
-        elif value == best_value and reached_tol:
-            best_converged = True
+        best = min(best, (value, not reached_tol))
 
-    loss, alpha, beta = best_value
+    (loss, alpha, beta), unconverged = best
     return CalibrationResult(
         alpha=alpha,
         beta=beta,
         achieved_loss=loss,
         evaluations=objective.evaluations,
-        converged=best_converged,
+        converged=not unconverged,
     )

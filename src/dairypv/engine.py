@@ -154,18 +154,14 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
     draws are taken before any probability is computed, and only farmers
     whose draw is below beta are scored: the kernel keeps p < beta, so no
     other draw can adopt. The evaluated costs are the year's remaining
-    farmers, or the representative farmer once everyone has adopted, so a
-    record built from them stays finite; the array is compacted only after
-    the consumer has taken it.
+    farmers (empty once everyone has adopted: a year with no farmers left
+    draws nothing); the array is compacted only after the consumer has
+    taken it.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
-    representative = np.array([params.midpoint_cost])
     cumulative = 0
     for energy_price, subsidy in zip(energy_prices, yearly_subsidies):
-        if not len(costs):
-            yield representative, 0.0, float(cumulative)
-            continue
         draws = rng.random(len(costs))
         candidates = np.flatnonzero(draws < params.beta)
         probabilities = _probability_array(
@@ -186,6 +182,8 @@ def _stochastic_means(params, prices, subsidies):
     years = _stochastic_years(params, annuity, energy_prices, yearly_subsidies, params.seed)
     for energy_price, subsidy, (costs, new, cumulative) in zip(
             energy_prices, yearly_subsidies, years):
+        if not len(costs):  # all adopted: the representative farmer keeps records finite
+            costs = np.array([params.midpoint_cost])
         utilities = _utility(params, annuity, energy_price, costs, subsidy)
         probabilities = _probability_array(
             utilities, params.alpha, params.beta, params.total_farmers)

@@ -168,7 +168,7 @@ def _param_kwargs(data):
         raise ValidationError("scenario file must be a flat key/value mapping")
     params = {f.name: f.default is MISSING for f in fields(ScenarioParams)}
     required = {**params, **_NON_PARAM_KEYS}
-    unknown = sorted(set(data) - set(required))
+    unknown = sorted(str(key) for key in data if key not in required)
     if unknown:
         raise ValidationError("unknown keys: " + ", ".join(unknown))
     missing = sorted(k for k, needed in required.items() if needed and k not in data)
@@ -186,6 +186,7 @@ def read_csv(path, parse, *args):
     """Open a CSV file and return parse(handle, *args).
 
     A SeriesError keeps its type and attributes; its message gains the path.
+    Text that is not UTF-8 is a BadValueError naming the path.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
@@ -193,6 +194,8 @@ def read_csv(path, parse, *args):
         except SeriesError as exc:
             exc.args = (f"{path}: {exc}",)
             raise
+        except UnicodeDecodeError as exc:
+            raise BadValueError(f"{path}: {exc}") from None
 
 
 def read_target(path, params, loss="squared_error", named=None):
@@ -220,7 +223,7 @@ def load_scenario(config_path):
         with open(config_path, "r", encoding="utf-8") as handle:
             data = yaml.load(handle, Loader=_UniqueKeyLoader)
         params = ScenarioParams(**_param_kwargs(data))
-    except (yaml.YAMLError, ValidationError) as exc:  # every config error names the file
+    except (yaml.YAMLError, ValidationError, UnicodeDecodeError) as exc:  # errors name the file
         raise ValidationError(f"{config_path}: {exc}") from None
 
     base = config_path.parent

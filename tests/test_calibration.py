@@ -232,3 +232,35 @@ def test_alpha_half_is_computed_once_per_scored_alpha(
     assert set(computed) == set(grid_alphas) | set(polled)
     # beta polls reuse an alpha, so fewer alpha halves are computed than points polled
     assert len(computed) < GRID_POINTS_PER_AXIS + len(polled)
+
+
+
+class StubObjective:
+    """Returns the given losses in poll order and records the polled points."""
+
+    exhausted = False
+
+    def __init__(self, losses):
+        self._losses = iter(losses)
+        self.polls = []
+
+    def __call__(self, log_alpha, log_beta):
+        self.polls.append((log_alpha, log_beta))
+        return next(self._losses), 10.0**log_alpha, 10.0**log_beta
+
+
+@pytest.mark.parametrize("start_loss, losses, moved_to", [
+    (1.0, [math.nan] * 4, None),
+    (1.0, [math.inf] * 4, None),
+    (math.inf, [math.nan, math.inf, 3.0], (0.0, -1.5)),  # an overflowed pattern probe
+    (math.nan, [0.0, math.inf, 1.0, math.nan], None),  # a NaN pattern probe
+], ids=["nan_polls", "inf_polls", "from_inf", "from_nan"])
+def test_sweep_moves_only_to_a_lower_finite_loss(start_loss, losses, moved_to):
+    start, start_value = (0.0, -2.0), (start_loss, 1.0, 0.01)
+    objective = StubObjective(losses)
+    point, value = calibration._explore(objective, start, start_value, 0.5)
+    assert len(objective.polls) == len(losses)
+    if moved_to is None:
+        assert (point, value) == (start, start_value)
+    else:
+        assert (point, value[0]) == (moved_to, losses[-1])

@@ -67,12 +67,15 @@ class TestRunCommand:
         assert "duplicate key 'total_farmers'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
-        "pv_cost_min: [5000\nbeta: 0.02\n",
-        "pv_cost_min: !!python/object:os.system [echo]\n",
-    ], ids=["syntax_error", "unsafe_tag"])
+        b"pv_cost_min: [5000\nbeta: 0.02\n",
+        b"pv_cost_min: !!python/object:os.system [echo]\n",
+        b"# caf\xe9 in Latin-1\n",
+        b"1: 2\nfoo: 3\n",
+        b"null: 2\n",
+    ], ids=["syntax_error", "unsafe_tag", "not_utf8", "int_key", "null_key"])
     def test_malformed_scenario_yaml_exits_1_naming_file(self, tmp_path, capsys, text):
         path = write_scenario(tmp_path)
-        path.write_text(text + path.read_text())
+        path.write_bytes(text + path.read_bytes())
         code = cli_main(["run", "--config", str(path)])
         assert code == 1
         assert f"error: {path}: " in capsys.readouterr().err
@@ -131,12 +134,17 @@ class TestCalibrateCommand:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
-    def test_malformed_target_exits_1_naming_file(self, default_config, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        (b"year,cumulative_adopters\n2022,441\n2010,50\n", "line 3: years must increase"),
+        (b"year,cumulative_adopters\n2022,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["years_decrease", "not_utf8"])
+    def test_malformed_target_exits_1_naming_file(self, default_config, tmp_path, capsys,
+                                                  text, message):
         target = tmp_path / "bad_target.csv"
-        target.write_text("year,cumulative_adopters\n2022,441\n2010,50\n")
+        target.write_bytes(text)
         code = cli_main(["calibrate", "--config", default_config, "--target", str(target)])
         assert code == 1
-        assert f"{target}: line 3: years must increase" in capsys.readouterr().err
+        assert f"error: {target}: {message}" in capsys.readouterr().err
 
     def test_target_outside_scenario_names_target_file(self, default_config, tmp_path,
                                                         capsys):

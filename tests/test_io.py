@@ -165,6 +165,12 @@ class TestLoadScenario:
             load_scenario(path)
         assert excinfo.value.line == 3
 
+    def test_non_utf8_series_names_file(self, tmp_path):
+        path = write_scenario(tmp_path)
+        (tmp_path / "prices.csv").write_bytes(b"year,price_eur_per_kwh\n2005,0.14\xff\n")
+        with pytest.raises(BadValueError, match=r"prices\.csv: 'utf-8' codec can't decode"):
+            load_scenario(path)
+
     def test_coverage_gap_lists_missing_years(self, tmp_path):
         prices = "year,price_eur_per_kwh\n2006,0.15\n2007,0.16\n"
         path = write_scenario(tmp_path, prices=prices)
