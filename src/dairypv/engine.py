@@ -23,35 +23,43 @@ from .errors import CoverageGapError, ValidationError
 # saturates, keeping the open-interval (0, beta) contract.
 _TINY = 5e-324
 
+# Farmers a stochastic run scores at a time: few enough that a block's
+# temporaries stay in cache, many enough that per-call overhead is small.
+_BLOCK = 2**16
+
 
 def _annuity(params):
     """Discount-factor sum over t = 0..horizon: the NPV of 1 EUR a year."""
     return net_present_value(constant_savings(1.0, params.horizon_years), params.discount_rate)
 
 
-def _utility(params, annuity, energy_price, pv_cost, subsidy):
+def _utility(params, annuity, energy_price, pv_cost, subsidy, out=None):
     """Utility kernel: economics.agent_utility in affine form.
 
     With annuity A, the NPV of the constant yearly savings gen*price - m*c
     is (gen*price - m*c)*A, so the utility NPV - c + subsidy equals
     gen*price*A - (1 + m*A)*c + subsidy. Any argument may be an array
-    (prices and subsidies per year, or PV costs per farmer).
+    (prices and subsidies per year, or PV costs per farmer); `out`, if
+    given, receives the result.
     """
-    return (params.annual_generation_kwh * energy_price * annuity
-            - (1.0 + params.maintenance_rate * annuity) * pv_cost + subsidy)
+    u = np.multiply(1.0 + params.maintenance_rate * annuity, pv_cost, out=out)
+    u = np.subtract(params.annual_generation_kwh * energy_price * annuity, u, out=out)
+    return np.add(u, subsidy, out=out)
 
 
-def _logistic(utilities, alpha, total_farmers):
+def _logistic(utilities, alpha, total_farmers, out=None):
     """Alpha half of the probability kernel: (s, d), where p = beta*s/d.
 
     With x = alpha*U/N and e = exp(-|x|), beta/(1 + exp(-x)) is beta/(1 + e)
     for x >= 0 and e*beta/(1 + e) for x < 0: s = where(x >= 0, 1, e), d = 1 + e.
-    exp never sees a positive argument, so it can underflow but never overflow.
+    Since 0 <= e <= 1, s is max(e, x >= 0), which selects without branching
+    per element. exp never sees a positive argument, so it can underflow but
+    never overflow. `out`, if given, receives s.
     """
     x = alpha * utilities / total_farmers
     nonneg = x >= 0
     e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
-    s = np.where(nonneg, 1.0, e)
+    s = np.maximum(e, nonneg, out=out)
     e += 1.0
     return s, e
 
@@ -65,9 +73,12 @@ def _capped(halves, beta, out=None):
     return p.clip(_TINY, cap, out=p)
 
 
-def _probability_array(utilities, alpha, beta, total_farmers):
-    """Probability kernel in place, so an array alpha or beta must broadcast to the result."""
-    halves = _logistic(utilities, alpha, total_farmers)
+def _probability_array(utilities, alpha, beta, total_farmers, out=None):
+    """Probability kernel in place, so an array alpha or beta must broadcast to the result.
+
+    `out`, if given, receives the result.
+    """
+    halves = _logistic(utilities, alpha, total_farmers, out=out)
     return _capped(halves, beta, out=halves[0])
 
 
@@ -145,7 +156,7 @@ def representative_utilities(params, prices, subsidies):
 
 
 def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
-    """Per-farmer run; yields (evaluated costs, new, cumulative) per year.
+    """Per-farmer adoption counts for Monte Carlo; yields (new, cumulative) per year.
 
     PV costs are sampled Uniform[pv_cost_min, pv_cost_max] in id order, then
     each year every farmer who has not adopted gets one Bernoulli draw, in
@@ -153,10 +164,7 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
     drops a farmer from the array while keeping the draw order. The year's
     draws are taken before any probability is computed, and only farmers
     whose draw is below beta are scored: the kernel keeps p < beta, so no
-    other draw can adopt. The evaluated costs are the year's remaining
-    farmers (empty once everyone has adopted: a year with no farmers left
-    draws nothing); the array is compacted only after the consumer has
-    taken it.
+    other draw can adopt. A year with no farmers left draws nothing.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
@@ -169,25 +177,48 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
             params.alpha, params.beta, params.total_farmers)
         adopters = candidates[draws[candidates] < probabilities]
         del draws
-        cumulative += len(adopters)
-        yield costs, float(len(adopters)), float(cumulative)
         if len(adopters):
             costs = np.delete(costs, adopters)
+        cumulative += len(adopters)
+        yield float(len(adopters)), float(cumulative)
 
 
-def _stochastic_means(params, prices, subsidies):
-    """Stochastic run as (mean utility, mean probability, new, cumulative) per year."""
-    annuity = _annuity(params)
-    energy_prices, yearly_subsidies = _yearly_inputs(params, prices, subsidies)
-    years = _stochastic_years(params, annuity, energy_prices, yearly_subsidies, params.seed)
-    for energy_price, subsidy, (costs, new, cumulative) in zip(
-            energy_prices, yearly_subsidies, years):
-        if not len(costs):  # all adopted: the representative farmer keeps records finite
-            costs = np.array([params.midpoint_cost])
-        utilities = _utility(params, annuity, energy_price, costs, subsidy)
-        probabilities = _probability_array(
-            utilities, params.alpha, params.beta, params.total_farmers)
-        yield float(np.mean(utilities)), float(np.mean(probabilities)), new, cumulative
+def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
+    """Stochastic run as (mean utility, mean probability, new, cumulative) per year.
+
+    The farmers, draws and adoptions are those of _stochastic_years, but the
+    means need every remaining farmer scored, so each is scored once and
+    adopts iff its draw is below its probability. Farmers are taken _BLOCK at
+    a time in id order; the blocks' draws are the same PCG64 stream as one
+    draw per year. Utilities and probabilities go to year-long buffers whose
+    means are taken whole. The costs of farmers who stay are moved to the
+    front of the cost array, in order; a block's survivors are copied out
+    before they are written back, and never past the block itself.
+    """
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
+    utilities, probabilities = np.empty_like(costs), np.empty_like(costs)
+    remaining, cumulative = len(costs), 0
+    for energy_price, subsidy in zip(energy_prices, yearly_subsidies):
+        if not remaining:  # all adopted: the representative farmer keeps records finite
+            u = _utility(params, annuity, energy_price, np.array([params.midpoint_cost]), subsidy)
+            p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
+            yield float(u[0]), float(p[0]), 0.0, float(cumulative)
+            continue
+        stayed = 0
+        for start in range(0, remaining, _BLOCK):
+            block = slice(start, min(start + _BLOCK, remaining))
+            u = _utility(params, annuity, energy_price, costs[block], subsidy,
+                         out=utilities[block])
+            p = _probability_array(u, params.alpha, params.beta, params.total_farmers,
+                                   out=probabilities[block])
+            left = costs[block][~(rng.random(len(p)) < p)]
+            costs[stayed:stayed + len(left)] = left
+            stayed += len(left)
+        cumulative += remaining - stayed
+        yield (float(np.mean(utilities[:remaining])), float(np.mean(probabilities[:remaining])),
+               float(remaining - stayed), float(cumulative))
+        remaining = stayed
 
 
 def run_simulation(params, prices, subsidies):
@@ -203,7 +234,8 @@ def run_simulation(params, prices, subsidies):
             utilities, params.alpha, params.beta, params.total_farmers,
             params.adoption_semantics))
     else:
-        columns = zip(*_stochastic_means(params, prices, subsidies))
+        columns = zip(*_stochastic_run(params, _annuity(params),
+                                       *_yearly_inputs(params, prices, subsidies)))
     years = range(params.start_year, params.end_year + 1)
     records = tuple(
         YearRecord(
@@ -274,7 +306,7 @@ def run_monte_carlo(params, prices, subsidies, replications, base_seed):
     curves = np.empty((replications, params.n_years), dtype=float)
     for r in range(replications):
         seed = (base_seed + r) % 2**64
-        curves[r, :] = [cumulative for _, _, cumulative in _stochastic_years(*inputs, seed)]
+        curves[r, :] = [cumulative for _, cumulative in _stochastic_years(*inputs, seed)]
 
     years = range(params.start_year, params.end_year + 1)
     rows = tuple(

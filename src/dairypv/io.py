@@ -182,11 +182,28 @@ def _param_kwargs(data):
     return {k: v for k, v in data.items() if k in params}
 
 
+def _not_utf8(path, error):
+    """'path: <decode error> (line N)' for a file that is not UTF-8.
+
+    A text handle counts the error's position from the start of its last
+    read chunk, so the file is decoded again whole: the position is then the
+    byte offset in the file, and the line is counted up to it.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        error = whole
+    line = data.count(b"\n", 0, error.start) + 1
+    return f"{path}: {error} (line {line})"
+
+
 def read_csv(path, parse, *args):
     """Open a CSV file and return parse(handle, *args).
 
     A SeriesError keeps its type and attributes; its message gains the path.
-    Text that is not UTF-8 is a BadValueError naming the path.
+    Text that is not UTF-8 is a BadValueError naming the path, the byte
+    offset and the line.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
@@ -195,7 +212,7 @@ def read_csv(path, parse, *args):
             exc.args = (f"{path}: {exc}",)
             raise
         except UnicodeDecodeError as exc:
-            raise BadValueError(f"{path}: {exc}") from None
+            raise BadValueError(_not_utf8(path, exc)) from None
 
 
 def read_target(path, params, loss="squared_error", named=None):
@@ -223,8 +240,10 @@ def load_scenario(config_path):
         with open(config_path, "r", encoding="utf-8") as handle:
             data = yaml.load(handle, Loader=_UniqueKeyLoader)
         params = ScenarioParams(**_param_kwargs(data))
-    except (yaml.YAMLError, ValidationError, UnicodeDecodeError) as exc:  # errors name the file
+    except (yaml.YAMLError, ValidationError) as exc:  # errors name the file
         raise ValidationError(f"{config_path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(_not_utf8(config_path, exc)) from None
 
     base = config_path.parent
     prices = read_csv(base / data["price_series"], parse_year_series, PRICE_COLUMN)

@@ -6,7 +6,10 @@ result to `render_result` directly, for outputs the CLI never prints: a
 calibration as CSV, a Monte Carlo summary as JSON, a one-replication
 summary (std exactly 0) and hand-built edge values (-0.0, the smallest
 subnormal, counts in e-notation). Stochastic cases pin the PCG64 draw
-stream, so they hold for one numpy build and CPU (see README).
+stream, so they hold for one numpy build and CPU (see README). A case runs
+on the bundled scenario unless it names a `--config`; multi_block_150k.yaml
+is the bundled scenario at 150,000 farmers, so its stochastic run spans
+several scoring blocks.
 To rewrite the fixtures after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,12 +33,15 @@ from dairypv.io import (
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = default_scenario_path().parent
+MULTI_BLOCK = GOLDEN / "multi_block_150k.yaml"
 
 CASES = {
     "run.csv": ["run"],
     "run.json": ["run", "--format", "json"],
     "run_literal.csv": ["run", "--semantics", "literal"],
     "run_stochastic_seed11.csv": ["run", "--mode", "stochastic", "--seed", "11"],
+    "run_stochastic_150k_seed11.csv": ["run", "--config", str(MULTI_BLOCK),
+                                       "--mode", "stochastic", "--seed", "11"],
     "monte_carlo_r8_seed5.csv": ["monte-carlo", "--replications", "8", "--seed", "5"],
     "calibrate_target_2022.json": ["calibrate", "--target", str(DATA / "target_2022.csv")],
 }
@@ -81,8 +87,9 @@ RENDER_CASES = {
 
 def _render(argv, out):
     command, *rest = argv
-    code = cli_main([command, "--config", str(default_scenario_path()), *rest,
-                     "--out", str(out)])
+    if "--config" not in rest:
+        rest = ["--config", str(default_scenario_path()), *rest]
+    code = cli_main([command, *rest, "--out", str(out)])
     assert code == 0
     return out.read_bytes()
 

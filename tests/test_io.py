@@ -171,6 +171,24 @@ class TestLoadScenario:
         with pytest.raises(BadValueError, match=r"prices\.csv: 'utf-8' codec can't decode"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("name", ["prices.csv", "scenario.yaml"])
+    def test_non_utf8_past_8kb_gives_file_offset_and_line(self, tmp_path, name):
+        path = write_scenario(tmp_path)
+        if name == "prices.csv":
+            good = "year,price_eur_per_kwh\n" + "".join(f"{y},0.14\n" for y in range(1, 2006))
+            good, bad, tail = good.encode() + b"2006,0.1", b"\xff", b"\n2007,0.16\n"
+        else:
+            good, bad, tail = path.read_bytes() + b"# padding\n" * 1000 + b"# caf", b"\xe9", b"\n"
+        assert len(good) > 8192  # past the text decoder's first read chunk
+        (tmp_path / name).write_bytes(good + bad + tail)
+        line = good.count(b"\n") + 1
+        with pytest.raises((BadValueError, ValidationError)) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value).startswith(
+            f"{tmp_path / name}: 'utf-8' codec can't decode byte 0x{bad.hex()} "
+            f"in position {len(good)}:")
+        assert str(excinfo.value).endswith(f" (line {line})")
+
     def test_coverage_gap_lists_missing_years(self, tmp_path):
         prices = "year,price_eur_per_kwh\n2006,0.15\n2007,0.16\n"
         path = write_scenario(tmp_path, prices=prices)

@@ -4,7 +4,8 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +16,7 @@ from dairypv.calibration import (
     CalibrationTarget,
     _Objective,
 )
+from dairypv import engine
 from dairypv.domain import ScenarioParams
 from dairypv.io import load_default_scenario
 from dairypv.economics import agent_utility
@@ -118,31 +120,50 @@ def stochastic_scenarios(draw):
 
 
 def score_every_farmer(params, annuity, prices, subsidies):
-    """Reference loop: every remaining farmer is scored and adopts iff draw < p."""
+    """Reference run on whole arrays: every remaining farmer is scored and adopts iff draw < p.
+
+    Yields (mean utility, mean probability, new, cumulative) per year; once
+    all have adopted, the means are the midpoint farmer's.
+    """
     rng = np.random.Generator(np.random.PCG64(params.seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
-    counts = []
+    cumulative = 0
     for price, subsidy in zip(prices, subsidies):
-        new = 0
-        if len(costs):
-            p = _probability_array(_utility(params, annuity, price, costs, subsidy),
-                                   params.alpha, params.beta, params.total_farmers)
-            adopts = rng.random(len(costs)) < p
-            costs = costs[~adopts]
-            new = int(np.count_nonzero(adopts))
-        counts.append(new)
-    return counts
+        scored = costs if len(costs) else np.array([params.midpoint_cost])
+        utilities = _utility(params, annuity, price, scored, subsidy)
+        p = _probability_array(utilities, params.alpha, params.beta, params.total_farmers)
+        adopts = rng.random(len(costs)) < p[:len(costs)]
+        costs = costs[~adopts]
+        new = int(np.count_nonzero(adopts))
+        cumulative += new
+        yield float(np.mean(utilities)), float(np.mean(p)), float(new), float(cumulative)
+
+
+# all adopt in the first year: five farmers, beta = 1 and the probability capped below it
+ALL_ADOPT = (ScenarioParams(pv_cost_min=0.0, pv_cost_max=1.0, maintenance_rate=0.0,
+                            discount_rate=0.0, total_farmers=5, start_year=2005,
+                            end_year=2007, alpha=1e3, beta=1.0, mode="stochastic", seed=3),
+             np.array([0.5, 0.5, 0.5]), np.array([1e4, 1e4, 1e4]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(stochastic_scenarios())
+@example(ALL_ADOPT)
 def test_beta_filter_drops_no_adopter(scenario):
+    """The run in blocks of 1 and 7 farmers equals the whole-array reference bit for bit.
+
+    The draw-first beta filter of Monte Carlo finds the same adopters.
+    """
     params, prices, subsidies = scenario
     annuity = _annuity(params)
-    expected = score_every_farmer(params, annuity, prices, subsidies)
+    expected = np.array(list(score_every_farmer(params, annuity, prices, subsidies)))
+    for block in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_BLOCK", block)
+            run = np.array(list(engine._stochastic_run(params, annuity, prices, subsidies)))
+        assert run.tobytes() == expected.tobytes()
     years = list(_stochastic_years(params, annuity, prices, subsidies, params.seed))
-    assert [new for _, new, _ in years] == expected
-    assert [cumulative for _, _, cumulative in years] == np.cumsum(expected).tolist()
+    assert np.array(years).tobytes() == expected[:, 2:].tobytes()
 
 
 @SETTINGS
