@@ -156,7 +156,7 @@ def representative_utilities(params, prices, subsidies):
 
 
 def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
-    """Per-farmer adoption counts for Monte Carlo; yields (new, cumulative) per year.
+    """Per-farmer adoption for Monte Carlo; yields the cumulative count per year.
 
     PV costs are sampled Uniform[pv_cost_min, pv_cost_max] in id order, then
     each year every farmer who has not adopted gets one Bernoulli draw, in
@@ -180,7 +180,7 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
         if len(adopters):
             costs = np.delete(costs, adopters)
         cumulative += len(adopters)
-        yield float(len(adopters)), float(cumulative)
+        yield float(cumulative)
 
 
 def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
@@ -306,7 +306,7 @@ def run_monte_carlo(params, prices, subsidies, replications, base_seed):
     curves = np.empty((replications, params.n_years), dtype=float)
     for r in range(replications):
         seed = (base_seed + r) % 2**64
-        curves[r, :] = [cumulative for _, cumulative in _stochastic_years(*inputs, seed)]
+        curves[r, :] = list(_stochastic_years(*inputs, seed))
 
     years = range(params.start_year, params.end_year + 1)
     rows = tuple(

@@ -2,12 +2,14 @@
 
 The scenario file is a flat YAML mapping of typed scalars; unknown and
 duplicated keys are rejected so typos cannot silently fall back to
-defaults or override an earlier value. Series files are
-plain CSV with a fixed two-column header. Results are written atomically
-(temp file + rename) so failures never leave partial output.
+defaults or override an earlier value. Series files are plain CSV with a
+fixed two-column header. Every input file is read once, through one reader
+that names the file in each error. Results are written atomically (temp
+file + rename) so failures never leave partial output.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -25,9 +27,9 @@ from .domain import ScenarioParams, SimulationResult, YearSeries
 from .engine import MonteCarloSummary, check_series_coverage
 from .errors import (
     BadValueError,
+    DairyPvError,
     DuplicateYearError,
     MissingHeaderError,
-    SeriesError,
     ValidationError,
     YearGapError,
 )
@@ -158,12 +160,36 @@ class LoadedScenario(NamedTuple):
     target: CalibrationTarget | None
 
 
-def _param_kwargs(data):
-    """Check which keys are present and return the ones ScenarioParams takes.
+def _read(path, parse, *args, error=BadValueError):
+    """Read the file at path once and return parse(stream, *args) over its text.
+
+    The bytes are decoded once and a leading byte-order mark is dropped.
+    Every error names the path: a package error keeps its type and
+    attributes, while text that is not UTF-8 (with the byte offset in the
+    file and the line) or YAML that does not parse raises `error`.
+    """
+    data = Path(path).read_bytes()
+    try:
+        stream = io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline="")
+        stream.name = str(path)  # YAML error marks name the file
+        return parse(stream, *args)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: {exc} (line {line})") from None
+    except yaml.YAMLError as exc:
+        raise error(f"{path}: {exc}") from None
+    except DairyPvError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _parse_scenario(stream):
+    """Return (mapping, ScenarioParams) from scenario YAML.
 
     A key is required when its ScenarioParams field has no default; no key
     may be null.
     """
+    data = yaml.load(stream, Loader=_UniqueKeyLoader)
     if not isinstance(data, dict):
         raise ValidationError("scenario file must be a flat key/value mapping")
     params = {f.name: f.default is MISSING for f in fields(ScenarioParams)}
@@ -179,45 +205,19 @@ def _param_kwargs(data):
             raise ValidationError(f"key {key!r} must not be null")
         if key in _NON_PARAM_KEYS and not isinstance(value, str):
             raise ValidationError(f"key {key!r} must be a string, got {value!r}")
-    return {k: v for k, v in data.items() if k in params}
+    return data, ScenarioParams(**{k: v for k, v in data.items() if k in params})
 
 
-def _not_utf8(path, error):
-    """'path: <decode error> (line N)' for a file that is not UTF-8.
-
-    A text handle counts the error's position from the start of its last
-    read chunk, so the file is decoded again whole: the position is then the
-    byte offset in the file, and the line is counted up to it.
-    """
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        error = whole
-    line = data.count(b"\n", 0, error.start) + 1
-    return f"{path}: {error} (line {line})"
-
-
-def read_csv(path, parse, *args):
-    """Open a CSV file and return parse(handle, *args).
-
-    A SeriesError keeps its type and attributes; its message gains the path.
-    Text that is not UTF-8 is a BadValueError naming the path, the byte
-    offset and the line.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            return parse(handle, *args)
-        except SeriesError as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
-        except UnicodeDecodeError as exc:
-            raise BadValueError(_not_utf8(path, exc)) from None
+def _parse_covering_series(stream, value_column, name, params):
+    """parse_year_series, then check that it covers every simulated year."""
+    series = parse_year_series(stream, value_column)
+    check_series_coverage(series, name, params)
+    return series
 
 
 def read_target(path, params, loss="squared_error", named=None):
     """Read a target CSV and check it against params; errors name `named` or the CSV."""
-    observations = tuple(read_csv(path, parse_target_observations))
+    observations = tuple(_read(path, parse_target_observations))
     try:
         target = CalibrationTarget(observations=observations, loss=loss)
         target.validate_against(params)
@@ -234,22 +234,12 @@ def load_scenario(config_path):
     Subsidy values outside the study range warn but do not fail.
     """
     config_path = Path(config_path)
-    if not config_path.is_file():
-        raise FileNotFoundError(f"scenario file not found: {config_path}")
-    try:
-        with open(config_path, "r", encoding="utf-8") as handle:
-            data = yaml.load(handle, Loader=_UniqueKeyLoader)
-        params = ScenarioParams(**_param_kwargs(data))
-    except (yaml.YAMLError, ValidationError) as exc:  # errors name the file
-        raise ValidationError(f"{config_path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(_not_utf8(config_path, exc)) from None
-
+    data, params = _read(config_path, _parse_scenario, error=ValidationError)
     base = config_path.parent
-    prices = read_csv(base / data["price_series"], parse_year_series, PRICE_COLUMN)
-    subsidies = read_csv(base / data["subsidy_series"], parse_year_series, SUBSIDY_COLUMN)
-    check_series_coverage(prices, "price", params)
-    check_series_coverage(subsidies, "subsidy", params)
+    subsidy_path = base / data["subsidy_series"]
+    prices = _read(base / data["price_series"], _parse_covering_series, PRICE_COLUMN,
+                   "price", params)
+    subsidies = _read(subsidy_path, _parse_covering_series, SUBSIDY_COLUMN, "subsidy", params)
 
     out_of_range = [
         year for year, value in subsidies.items()
@@ -257,7 +247,7 @@ def load_scenario(config_path):
     ]
     if out_of_range:
         warnings.warn(
-            "subsidy outside the study range "
+            f"{subsidy_path}: subsidy outside the study range "
             f"{SUBSIDY_RANGE_EUR[0]:.0f}-{SUBSIDY_RANGE_EUR[1]:.0f} EUR in years: "
             + ", ".join(str(y) for y in out_of_range),
             UserWarning,
@@ -357,10 +347,14 @@ def write_result(result, format, output_path):
     """Render a result and write it atomically (temp file, then rename)."""
     text = render_result(result, format)
     output_path = Path(output_path)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", newline="\n",
-        dir=output_path.parent, prefix=output_path.name + ".", delete=False,
-    )
+    try:
+        handle = tempfile.NamedTemporaryFile(
+            "w", encoding="utf-8", newline="\n",
+            dir=output_path.parent, prefix=output_path.name + ".", delete=False,
+        )
+    except OSError as exc:  # name the output, not a temp file that was never made
+        exc.filename = str(output_path)
+        raise
     try:
         with handle:
             handle.write(text)

@@ -94,6 +94,14 @@ class TestRunCommand:
                          "--out", str(out_l)]) == 0
         assert out_h.read_bytes() != out_l.read_bytes()
 
+    def test_out_in_missing_directory_names_out_path(self, default_config, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = cli_main(["run", "--config", default_config, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert not out.parent.exists()
+
     def test_repeat_invocations_byte_identical(self, default_config, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

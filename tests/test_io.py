@@ -1,6 +1,10 @@
+import builtins
 import io
 import json
 import tempfile
+from collections import Counter
+from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 import yaml
@@ -21,6 +25,7 @@ from dairypv.io import (
     load_scenario,
     parse_target_observations,
     parse_year_series,
+    read_target,
     render_result,
     write_result,
 )
@@ -195,12 +200,63 @@ class TestLoadScenario:
         with pytest.raises(CoverageGapError) as excinfo:
             load_scenario(path)
         assert excinfo.value.missing_years == (2005,)
+        assert str(excinfo.value) == (
+            f"{tmp_path / 'prices.csv'}: price series covers 2006-2007 but the scenario "
+            "needs 2005-2007; missing years: 2005")
 
     def test_subsidy_outside_study_range_warns(self, tmp_path):
         subsidies = "year,subsidy_eur\n2005,500\n2006,1500\n2007,2000\n"
         path = write_scenario(tmp_path, subsidies=subsidies)
-        with pytest.warns(UserWarning, match="2005"):
+        with pytest.warns(UserWarning, match=r"subsidies\.csv: subsidy outside .* years: 2005$"):
             load_scenario(path)
+
+    def test_series_with_byte_order_mark_loads(self, tmp_path):
+        path = write_scenario(tmp_path)
+        plain = load_scenario(path)
+        for name in ("prices.csv", "subsidies.csv"):
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        assert load_scenario(path) == plain
+
+    def test_target_with_byte_order_mark_loads(self, tmp_path, default_params):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"\xef\xbb\xbfyear,cumulative_adopters\r\n2022,441\r\n")
+        assert read_target(target, default_params).observations == ((2022, 441.0),)
+
+    def test_decode_error_after_byte_order_mark_counts_it(self, tmp_path):
+        path = write_scenario(tmp_path)
+        good = b"\xef\xbb\xbfyear,price_eur_per_kwh\n2005,0.1"
+        (tmp_path / "prices.csv").write_bytes(good + b"\xff\n")
+        with pytest.raises(BadValueError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == (
+            f"{tmp_path / 'prices.csv'}: 'utf-8' codec can't decode byte 0xff in position "
+            f"{len(good)}: invalid start byte (line 2)")
+
+    @pytest.mark.parametrize("broken", [None, "scenario.yaml", "prices.csv", "target.csv"])
+    def test_each_input_file_is_read_once(self, tmp_path, monkeypatch, broken):
+        (tmp_path / "target.csv").write_text("year,cumulative_adopters\n2007,50\n")
+        path = write_scenario(tmp_path, config={"target_series": "target.csv"})
+        if broken:
+            (tmp_path / broken).write_bytes((tmp_path / broken).read_bytes() + b"\xff\n")
+        reads = Counter()
+        read_bytes, open_file = Path.read_bytes, builtins.open
+
+        def counted_read_bytes(self):
+            reads[self.name] += 1
+            return read_bytes(self)
+
+        def counted_open(file, *args, **kwargs):
+            reads[Path(file).name] += 1
+            return open_file(file, *args, **kwargs)
+
+        failure = pytest.raises((BadValueError, ValidationError)) if broken else nullcontext()
+        with monkeypatch.context() as patch, failure:
+            patch.setattr(Path, "read_bytes", counted_read_bytes)
+            patch.setattr(builtins, "open", counted_open)
+            load_scenario(path)
+        order = ["scenario.yaml", "prices.csv", "subsidies.csv", "target.csv"]
+        read = order[:order.index(broken) + 1] if broken else order
+        assert reads == Counter(read)
 
     def test_target_series_loaded_and_validated(self, tmp_path):
         (tmp_path / "target.csv").write_text("year,cumulative_adopters\n2007,50\n")

@@ -163,7 +163,7 @@ def test_beta_filter_drops_no_adopter(scenario):
             run = np.array(list(engine._stochastic_run(params, annuity, prices, subsidies)))
         assert run.tobytes() == expected.tobytes()
     years = list(_stochastic_years(params, annuity, prices, subsidies, params.seed))
-    assert np.array(years).tobytes() == expected[:, 2:].tobytes()
+    assert np.array(years).tobytes() == expected[:, 3].tobytes()
 
 
 @SETTINGS
