@@ -23,9 +23,22 @@ from .errors import CoverageGapError, ValidationError
 # saturates, keeping the open-interval (0, beta) contract.
 _TINY = 5e-324
 
-# Farmers a stochastic run scores at a time: few enough that a block's
-# temporaries stay in cache, many enough that per-call overhead is small.
+# Most farmers a stochastic run scores at a time: few enough that a piece's
+# temporaries stay in cache, enough to hide per-call overhead; >= 128 (see _pairwise).
 _BLOCK = 2**16
+
+
+def _pairwise(start, count, leaf):
+    """leaf(start, count) summed over the pieces numpy's pairwise summation makes.
+
+    numpy sums over 128 values as two halves, the first cut to a multiple of
+    8, split alike down to 128 (so _BLOCK >= 128); pieces up to _BLOCK go
+    whole to leaf, so np.add.reduce leaves give np.add.reduce's bits.
+    """
+    if count <= _BLOCK:
+        return leaf(start, count)
+    half = count // 2 - count // 2 % 8
+    return _pairwise(start, half, leaf) + _pairwise(start + half, count - half, leaf)
 
 
 def _annuity(params):
@@ -188,36 +201,37 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
 
     The farmers, draws and adoptions are those of _stochastic_years, but the
     means need every remaining farmer scored, so each is scored once and
-    adopts iff its draw is below its probability. Farmers are taken _BLOCK at
-    a time in id order; the blocks' draws are the same PCG64 stream as one
-    draw per year. Utilities and probabilities go to year-long buffers whose
-    means are taken whole. The costs of farmers who stay are moved to the
-    front of the cost array, in order; a block's survivors are copied out
-    before they are written back, and never past the block itself.
+    adopts iff its draw is below its probability. score takes _pairwise's
+    pieces in id order through piece-sized buffers: the pieces' sums add up
+    to np.mean's bits, and their draws to one PCG64 draw per year.
+    Survivors' costs move to the front of the cost array, in order, copied
+    out before they are written back and never past their piece.
     """
     rng = np.random.Generator(np.random.PCG64(params.seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
-    utilities, probabilities = np.empty_like(costs), np.empty_like(costs)
-    remaining, cumulative = len(costs), 0
+    utilities, probabilities = np.empty((2, min(len(costs), _BLOCK)))
+    remaining = len(costs)
+
+    def score(start, count):
+        nonlocal stayed
+        piece = costs[start:start + count]
+        u = _utility(params, annuity, energy_price, piece, subsidy, out=utilities[:count])
+        p = _probability_array(u, params.alpha, params.beta, params.total_farmers,
+                               out=probabilities[:count])
+        left = piece[~(rng.random(count) < p)]
+        costs[stayed:stayed + len(left)] = left
+        stayed += len(left)
+        return np.array((np.add.reduce(u), np.add.reduce(p)))
+
     for energy_price, subsidy in zip(energy_prices, yearly_subsidies):
         if not remaining:  # all adopted: the representative farmer keeps records finite
             u = _utility(params, annuity, energy_price, np.array([params.midpoint_cost]), subsidy)
             p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
-            yield float(u[0]), float(p[0]), 0.0, float(cumulative)
+            yield float(u[0]), float(p[0]), 0.0, float(len(costs))
             continue
         stayed = 0
-        for start in range(0, remaining, _BLOCK):
-            block = slice(start, min(start + _BLOCK, remaining))
-            u = _utility(params, annuity, energy_price, costs[block], subsidy,
-                         out=utilities[block])
-            p = _probability_array(u, params.alpha, params.beta, params.total_farmers,
-                                   out=probabilities[block])
-            left = costs[block][~(rng.random(len(p)) < p)]
-            costs[stayed:stayed + len(left)] = left
-            stayed += len(left)
-        cumulative += remaining - stayed
-        yield (float(np.mean(utilities[:remaining])), float(np.mean(probabilities[:remaining])),
-               float(remaining - stayed), float(cumulative))
+        mean_u, mean_p = _pairwise(0, remaining, score) / remaining
+        yield float(mean_u), float(mean_p), float(remaining - stayed), float(len(costs) - stayed)
         remaining = stayed
 
 

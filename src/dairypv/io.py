@@ -352,13 +352,14 @@ def write_result(result, format, output_path):
             "w", encoding="utf-8", newline="\n",
             dir=output_path.parent, prefix=output_path.name + ".", delete=False,
         )
-    except OSError as exc:  # name the output, not a temp file that was never made
-        exc.filename = str(output_path)
-        raise
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, output_path)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(handle.name, output_path)
+        except BaseException:
+            os.unlink(handle.name)
+            raise
+    except OSError as exc:  # name the output, never the temp file
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(output_path)) from exc

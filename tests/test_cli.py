@@ -102,6 +102,15 @@ class TestRunCommand:
             f"error: [Errno 2] No such file or directory: '{out}'\n")
         assert not out.parent.exists()
 
+    def test_out_naming_a_directory_names_out_path(self, default_config, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        code = cli_main(["run", "--config", default_config, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert not any(out.iterdir())
+
     def test_repeat_invocations_byte_identical(self, default_config, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dairypv import engine
 from dairypv.domain import ScenarioParams, YearSeries
 from dairypv.economics import agent_utility
 from dairypv.engine import (
@@ -174,6 +176,32 @@ class TestStepYearStochastic:
             assert record.cumulative_adopters == 10.0
             assert math.isfinite(record.economic_utility)
             assert 0.0 < record.probability < 1.0
+
+    @pytest.mark.parametrize("block", [128, 2**16])
+    def test_pairwise_pieces_sum_to_numpys_bits(self, block, monkeypatch):
+        assert engine._BLOCK >= 128  # numpy's pairwise block; below it pieces never end
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(10**6) * 10.0 ** rng.uniform(-8, 8, 10**6)
+        for count in (1, 7, 8, 127, 128, 129, 255, 256, 257, 1000, 2**16 - 1, 2**16,
+                      2**16 + 1, 2**17 + 9, 150_000, 10**6):
+            head = values[:count]
+            pieces = engine._pairwise(0, count, lambda i, n: np.add.reduce(head[i:i + n]))
+            assert pieces.tobytes() == np.add.reduce(head).tobytes(), (
+                f"numpy's pairwise summation changed: {count} values in pieces of {block} "
+                f"no longer sum to np.add.reduce's bits")
+
+    def test_stochastic_run_holds_no_population_sized_array_but_costs(self):
+        params = make_params(total_farmers=10**6, mode="stochastic", seed=11, end_year=2007)
+        years = engine._stochastic_run(params, _annuity(params), np.full(3, 0.25),
+                                       np.full(3, 3000.0))
+        tracemalloc.start()
+        try:
+            assert len(list(years)) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * params.total_farmers  # the cost array's bytes
 
 
 class TestInitializeState:

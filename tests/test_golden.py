@@ -9,7 +9,7 @@ subnormal, counts in e-notation). Stochastic cases pin the PCG64 draw
 stream, so they hold for one numpy build and CPU (see README). A case runs
 on the bundled scenario unless it names a `--config`; multi_block_150k.yaml
 is the bundled scenario at 150,000 farmers, so its stochastic run spans
-several scoring blocks.
+several scoring pieces.
 To rewrite the fixtures after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py

@@ -145,19 +145,24 @@ ALL_ADOPT = (ScenarioParams(pv_cost_min=0.0, pv_cost_max=1.0, maintenance_rate=0
                             end_year=2007, alpha=1e3, beta=1.0, mode="stochastic", seed=3),
              np.array([0.5, 0.5, 0.5]), np.array([1e4, 1e4, 1e4]))
 
+# 1,000 farmers span 8 pieces of at most 128 or 136, most of whom stay
+EIGHT_PIECES = (replace(ALL_ADOPT[0], total_farmers=1000, alpha=1e-3, beta=0.01, seed=17),
+                ALL_ADOPT[1], ALL_ADOPT[2])
+
 
 @settings(max_examples=100, deadline=None)
 @given(stochastic_scenarios())
 @example(ALL_ADOPT)
+@example(EIGHT_PIECES)
 def test_beta_filter_drops_no_adopter(scenario):
-    """The run in blocks of 1 and 7 farmers equals the whole-array reference bit for bit.
+    """Pieces of at most 128 or 136 farmers give the whole-array reference's bits.
 
     The draw-first beta filter of Monte Carlo finds the same adopters.
     """
     params, prices, subsidies = scenario
     annuity = _annuity(params)
     expected = np.array(list(score_every_farmer(params, annuity, prices, subsidies)))
-    for block in (1, 7):
+    for block in (128, 136):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_BLOCK", block)
             run = np.array(list(engine._stochastic_run(params, annuity, prices, subsidies)))
