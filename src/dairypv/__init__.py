@@ -6,34 +6,9 @@ year over a historical price and subsidy schedule. A calibration module
 recovers the curve parameters (alpha, beta) from observed adoption counts.
 """
 
-from .calibration import (
-    CalibrationResult,
-    CalibrationTarget,
-    calibrate,
-    evaluate_loss,
-)
-from .domain import (
-    MoneyEur,
-    ScenarioParams,
-    SimulationResult,
-    YearRecord,
-    YearSeries,
-    round_half_up,
-)
-from .economics import (
-    agent_utility,
-    annual_savings,
-    constant_savings,
-    economic_utility,
-    net_present_value,
-)
-from .engine import (
-    MonteCarloSummary,
-    YearStats,
-    adoption_probability,
-    run_monte_carlo,
-    run_simulation,
-)
+from .calibration import CalibrationResult, CalibrationTarget, calibrate
+from .domain import MoneyEur, ScenarioParams, SimulationResult, YearRecord, YearSeries
+from .engine import MonteCarloSummary, YearStats, run_monte_carlo, run_simulation
 from .io import (
     LoadedScenario,
     load_default_scenario,
@@ -57,20 +32,12 @@ __all__ = [
     "YearRecord",
     "YearSeries",
     "YearStats",
-    "adoption_probability",
-    "agent_utility",
-    "annual_savings",
     "calibrate",
-    "constant_savings",
-    "economic_utility",
     "errors",
-    "evaluate_loss",
     "load_default_scenario",
     "load_scenario",
-    "net_present_value",
     "parse_year_series",
     "render_result",
-    "round_half_up",
     "run_monte_carlo",
     "run_simulation",
     "write_result",

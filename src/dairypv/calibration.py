@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import require_finite
+from .domain import require_finite, require_integer
 from .engine import _capped, _logistic, adoption_curve, representative_utilities
 from .errors import CalibrationFailedError, ValidationError
 
@@ -44,8 +44,9 @@ class CalibrationTarget:
     loss: str = "squared_error"
 
     def __post_init__(self):
-        observations = tuple((int(y), require_finite(f"observation[{y}]", v))
-                             for y, v in self.observations)
+        observations = tuple((require_integer(f"observation[{i}] year", y),
+                              require_finite(f"observation[{y}]", v))
+                             for i, (y, v) in enumerate(self.observations))
         object.__setattr__(self, "observations", observations)
         if not observations:
             raise ValidationError("target must contain at least one observation")
@@ -85,25 +86,6 @@ class CalibrationResult:
             require_finite(name, getattr(self, name))
         if self.achieved_loss < 0:
             raise ValidationError(f"achieved_loss must be >= 0, got {self.achieved_loss}")
-
-
-def _check_bounds(alpha, beta):
-    for name, value, (lo, hi) in (("alpha", alpha, ALPHA_BOUNDS), ("beta", beta, BETA_BOUNDS)):
-        if not lo <= value <= hi:
-            raise ValidationError(f"{name} candidate {value} outside bounds [{lo}, {hi}]")
-
-
-def evaluate_loss(candidate, params, prices, subsidies, target):
-    """Loss of one (alpha, beta) candidate against the target observations.
-
-    Always runs the deterministic hazard simulation so the objective is a
-    pure function of the candidate (a stochastic objective would make the
-    fit seed-dependent).
-    """
-    alpha, beta = candidate
-    _check_bounds(alpha, beta)
-    target.validate_against(params)
-    return _Objective(params, prices, subsidies, target, budget=1).loss(alpha, beta)
 
 
 def _clamp(value, lo, hi):

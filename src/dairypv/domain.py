@@ -34,11 +34,11 @@ def require_finite(name, value):
     return value
 
 
-def round_half_up(value):
-    """Round a non-negative count half-up to an integer (441.5 -> 442)."""
-    if value < 0:
-        raise ValidationError(f"round_half_up expects a non-negative value, got {value}")
-    return int(math.floor(value + 0.5))
+def require_integer(name, value):
+    """Return value as int, rejecting bools and numbers that are not integral types."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -53,31 +53,11 @@ class YearSeries:
     values: tuple
 
     def __post_init__(self):
-        if not isinstance(self.first_year, int):
-            raise ValidationError(f"first_year must be an integer, got {self.first_year!r}")
+        object.__setattr__(self, "first_year", require_integer("first_year", self.first_year))
         if len(self.values) == 0:
             raise ValidationError("values must contain at least one entry")
         checked = tuple(require_finite(f"values[{i}]", v) for i, v in enumerate(self.values))
         object.__setattr__(self, "values", checked)
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        """Build a series from (year, value) pairs, enforcing contiguity.
-
-        Raises ValidationError on duplicate, decreasing or gapped years.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            raise ValidationError("year series must contain at least one entry")
-        years = [int(y) for y, _ in pairs]
-        for prev, nxt in zip(years, years[1:]):
-            if nxt == prev:
-                raise ValidationError(f"duplicate year {nxt} in series")
-            if nxt != prev + 1:
-                raise ValidationError(
-                    f"years must be contiguous and increasing: got {nxt} after {prev}"
-                )
-        return cls(first_year=years[0], values=tuple(v for _, v in pairs))
 
     @property
     def last_year(self):
@@ -154,8 +134,10 @@ class ScenarioParams:
             raise ValidationError(
                 f"start_year must be <= end_year, got {self.start_year} > {self.end_year}"
             )
-        if self.horizon_years < 0:
-            raise ValidationError(f"horizon_years must be >= 0, got {self.horizon_years}")
+        if not 0 <= self.horizon_years <= MAXYEAR:
+            raise ValidationError(
+                f"horizon_years must be in 0-{MAXYEAR}, got {self.horizon_years}"
+            )
         if self.annual_generation_kwh < 0:
             raise ValidationError(
                 f"annual_generation_kwh must be >= 0, got {self.annual_generation_kwh}"
@@ -235,15 +217,3 @@ class SimulationResult:
                 raise ValidationError(
                     f"records must cover consecutive years: got {nxt.year} after {prev.year}"
                 )
-
-    @property
-    def start_year(self):
-        return self.records[0].year
-
-    @property
-    def end_year(self):
-        return self.records[-1].year
-
-    @property
-    def final_cumulative(self):
-        return self.records[-1].cumulative_adopters

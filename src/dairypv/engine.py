@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import SimulationResult, YearRecord, require_finite
-from .economics import constant_savings, net_present_value
 from .errors import CoverageGapError, ValidationError
 
 # Smallest positive float; floor for probabilities when the exponential
@@ -42,12 +41,21 @@ def _pairwise(start, count, leaf):
 
 
 def _annuity(params):
-    """Discount-factor sum over t = 0..horizon: the NPV of 1 EUR a year."""
-    return net_present_value(constant_savings(1.0, params.horizon_years), params.discount_rate)
+    """Discount-factor sum over t = 0..horizon: the NPV of 1 EUR a year.
+
+    Summed left to right with a running (1 + rate)^t product, using only +,
+    * and /, so the result is reproducible across platforms.
+    """
+    factor = 1.0 + params.discount_rate
+    denominator, total = 1.0, 0.0
+    for _ in range(params.horizon_years + 1):
+        total += 1.0 / denominator
+        denominator *= factor
+    return total
 
 
 def _utility(params, annuity, energy_price, pv_cost, subsidy, out=None):
-    """Utility kernel: economics.agent_utility in affine form.
+    """Utility kernel: discounted savings minus net installation cost, in affine form.
 
     With annuity A, the NPV of the constant yearly savings gen*price - m*c
     is (gen*price - m*c)*A, so the utility NPV - c + subsidy equals
@@ -93,20 +101,6 @@ def _probability_array(utilities, alpha, beta, total_farmers, out=None):
     """
     halves = _logistic(utilities, alpha, total_farmers, out=out)
     return _capped(halves, beta, out=halves[0])
-
-
-def adoption_probability(economic_utility, alpha, beta, total_farmers):
-    """Likelihood that a farmer with the given utility installs PV this year."""
-    economic_utility = require_finite("economic_utility", economic_utility)
-    require_finite("alpha", alpha)
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    require_finite("beta", beta)
-    if not 0 < beta <= 1:
-        raise ValidationError(f"beta must be in (0, 1], got {beta}")
-    if total_farmers < 1:
-        raise ValidationError(f"total_farmers must be >= 1, got {total_farmers}")
-    return float(_probability_array(np.array([economic_utility]), alpha, beta, total_farmers)[0])
 
 
 def deterministic_curve(utilities, alpha, beta, total_farmers, semantics):

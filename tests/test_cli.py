@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,16 @@ class TestRunCommand:
         code = cli_main(["run", "--config", str(path), "--mode", "stochastic"])
         assert code == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_horizon_past_the_last_calendar_year_exits_1_before_any_work(self, tmp_path,
+                                                                         capsys):
+        path = write_scenario(tmp_path, config={"horizon_years": 10**7})
+        start = time.perf_counter()
+        code = cli_main(["run", "--config", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert "horizon_years must be in 0-9999" in capsys.readouterr().err
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
     def test_semantics_override(self, default_config, tmp_path):
         out_h = tmp_path / "hazard.csv"

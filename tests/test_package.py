@@ -1,0 +1,48 @@
+"""The names `import dairypv` exports: the surface README's "Package layout" documents."""
+
+import importlib
+
+import pytest
+
+import dairypv
+
+DOCUMENTED = [
+    "CalibrationResult",
+    "CalibrationTarget",
+    "LoadedScenario",
+    "MoneyEur",
+    "MonteCarloSummary",
+    "ScenarioParams",
+    "SimulationResult",
+    "YearRecord",
+    "YearSeries",
+    "YearStats",
+    "calibrate",
+    "errors",
+    "load_default_scenario",
+    "load_scenario",
+    "parse_year_series",
+    "render_result",
+    "run_monte_carlo",
+    "run_simulation",
+    "write_result",
+]
+
+
+def test_all_is_the_documented_surface_and_every_name_resolves():
+    assert sorted(dairypv.__all__) == DOCUMENTED
+    for name in dairypv.__all__:
+        assert getattr(dairypv, name) is not None
+
+
+@pytest.mark.parametrize("name", [
+    "agent_utility", "annual_savings", "constant_savings", "economic_utility",
+    "net_present_value", "adoption_probability", "evaluate_loss", "round_half_up",
+])
+def test_test_only_reference_code_is_not_exported(name):
+    assert not hasattr(dairypv, name)
+
+
+def test_economics_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("dairypv.economics")

@@ -19,7 +19,6 @@ from dairypv.calibration import (
 from dairypv import engine
 from dairypv.domain import ScenarioParams
 from dairypv.io import load_default_scenario
-from dairypv.economics import agent_utility
 from dairypv.engine import (
     _TINY,
     _annuity,
@@ -30,6 +29,7 @@ from dairypv.engine import (
     _utility,
     deterministic_curve,
 )
+from reference import agent_utility
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
