@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import require_finite, require_integer
-from .engine import _capped, _logistic, adoption_curve, representative_utilities
+from .engine import _TINY, _logistic, representative_utilities
 from .errors import CalibrationFailedError, ValidationError
 
 ALPHA_BOUNDS = (1e-3, 100.0)
@@ -89,7 +89,7 @@ class CalibrationResult:
 
 
 def _clamp(value, lo, hi):
-    return min(max(value, lo), hi)
+    return lo if value < lo else hi if value > hi else value
 
 
 class _Objective:
@@ -107,7 +107,7 @@ class _Objective:
                           for year, value in target.observations]
         last = max(index for index, _ in self._observed)
         self._utilities = representative_utilities(params, prices, subsidies)[:last + 1]
-        self._total = params.total_farmers
+        self._total = float(params.total_farmers)  # float - float is Python's fast path
         self._squared = target.loss == "squared_error"
         self._halves = {}  # alpha -> (s, d) from engine._logistic
         self._scored = {}  # (alpha, beta) -> loss
@@ -124,22 +124,38 @@ class _Objective:
         return self._score(self._halves[alpha], beta)
 
     def _score(self, halves, beta):
-        """Loss from an alpha half: the beta half, the hazard recurrence and the sum."""
-        _, _, cumulative = adoption_curve(_capped(halves, beta), self._total, "hazard")
-        total = 0.0
+        """Loss from an alpha half: the beta half, the hazard recurrence and the sum.
+
+        One pass over Python floats, with the IEEE operations of engine._capped
+        and adoption_curve's hazard branch in their order, so the bits match;
+        on at most n_years values numpy's per-call overhead would dominate.
+        The clamp compares as np.clip does, so a NaN passes through.
+        """
+        lo, hi = _TINY, math.nextafter(beta, 0.0)
+        total, level, cumulative = self._total, 0.0, []
+        for s, d in zip(halves[0].tolist(), halves[1].tolist()):
+            p = s * beta / d
+            if p < lo:
+                p = lo
+            elif p > hi:
+                p = hi
+            level += p * (total - level)
+            cumulative.append(level)
+        loss = 0.0
         for index, observed in self._observed:
             diff = cumulative[index] - observed
-            total += diff * diff if self._squared else abs(diff)
-        return total
+            loss += diff * diff if self._squared else abs(diff)
+        return loss
 
     def grid(self, alphas, betas):
-        """(loss, alpha, beta) of every pair, alpha-major, scored in one array pass."""
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf
+        """(loss, alpha, beta) of every pair, alpha-major; the alpha halves in one array pass."""
+        with np.errstate(over="ignore"):  # overflow gives inf
             s, d = _logistic(self._utilities, alphas[:, None], self._total)
-            self._halves.update(zip(alphas.tolist(), zip(s, d)))
-            losses = self._score((s[:, None], d[:, None]), betas[:, None])
-        grid = np.meshgrid(alphas, betas, indexing="ij")
-        cells = list(zip(*(a.ravel().tolist() for a in (losses, *grid))))
+        betas = betas.tolist()
+        cells = []
+        for alpha, halves in zip(alphas.tolist(), zip(s, d)):
+            self._halves[alpha] = halves
+            cells.extend((self._score(halves, beta), alpha, beta) for beta in betas)
         self.evaluations += len(cells)
         self._scored.update(((alpha, beta), loss) for loss, alpha, beta in cells)
         return cells

@@ -5,6 +5,7 @@ Results go to --out or stdout; all diagnostics go to stderr. Exit codes:
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1 if status else 0)
 
 
+@functools.cache  # built on first use, then reused by every cli_main call
 def build_parser():
     parser = _Parser(
         prog="dairypv",

@@ -84,7 +84,8 @@ class ScenarioParams:
     """Complete input set for one simulation scenario.
 
     The annotations are the schema: a float field takes any finite real but
-    bool and stores it as float; an int field takes an int but not a bool.
+    bool and stores it as float; an int field takes any integer type but
+    bool (a numpy integer too) and stores it as int.
     """
 
     pv_cost_min: MoneyEur
@@ -110,8 +111,7 @@ class ScenarioParams:
                     raise ValidationError(f"{f.name} must be a real number, got {value!r}")
                 object.__setattr__(self, f.name, require_finite(f.name, value))
             elif f.type is int or (f.type == int | None and value is not None):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValidationError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, require_integer(f.name, value))
         if not 0 <= self.pv_cost_min <= self.pv_cost_max:
             raise ValidationError(
                 "pv_cost_min must satisfy 0 <= pv_cost_min <= pv_cost_max, got "

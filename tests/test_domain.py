@@ -59,6 +59,10 @@ class TestScenarioParams:
             (dict(alpha=10**400), "alpha"),
             (dict(horizon_years=10_000), "horizon_years"),
             (dict(horizon_years=10**9), "horizon_years"),
+            (dict(total_farmers=True), "total_farmers"),
+            (dict(start_year="2005"), "start_year"),
+            (dict(seed=7.0), "seed"),
+            (dict(seed=False), "seed"),
         ],
     )
     def test_invalid_fields_are_named(self, overrides, field):
@@ -84,6 +88,11 @@ class TestScenarioParams:
         p = make_params(alpha=1, pv_cost_min=np.int64(5000))
         assert type(p.alpha) is float and type(p.pv_cost_min) is float
         assert p.digest == make_params(alpha=1.0).digest
+
+    def test_numpy_integer_for_int_field_is_stored_as_int(self):
+        p = make_params(total_farmers=np.int64(18000), seed=np.uint64(7))
+        assert type(p.total_farmers) is int and type(p.seed) is int
+        assert p.digest == make_params(total_farmers=18000, seed=7).digest
 
 
 class TestYearSeries:

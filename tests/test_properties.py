@@ -13,11 +13,12 @@ from dairypv.calibration import (
     ALPHA_BOUNDS,
     BETA_BOUNDS,
     GRID_POINTS_PER_AXIS,
+    LOSS_KINDS,
     CalibrationTarget,
     _Objective,
 )
 from dairypv import engine
-from dairypv.domain import ScenarioParams
+from dairypv.domain import ScenarioParams, YearSeries
 from dairypv.io import load_default_scenario
 from dairypv.engine import (
     _TINY,
@@ -28,6 +29,7 @@ from dairypv.engine import (
     _stochastic_years,
     _utility,
     deterministic_curve,
+    representative_utilities,
 )
 from reference import agent_utility
 
@@ -247,3 +249,38 @@ def test_grid_losses_equal_scalar_losses(drawn, cost):
                               for a in alphas])
     assert np.array_equal(array_losses, scalar_losses)
     assert [(a, b) for _, a, b in grid] == [(float(a), float(b)) for a in alphas for b in betas]
+
+
+@st.composite
+def loss_cases(draw):
+    """Yearly subsidies over 1-18 years, N, and 1-3 (year index, cumulative adopters)."""
+    subsidies = draw(st.lists(st.one_of(reals(-1e12, 1e12), reals(-1e5, 1e5)),
+                              min_size=1, max_size=18))
+    n = draw(st.integers(1, 10**9))
+    indices = draw(st.lists(st.integers(0, len(subsidies) - 1), min_size=1, max_size=3,
+                            unique=True))
+    values = draw(st.lists(st.floats(0.0, n), min_size=len(indices), max_size=len(indices)))
+    return subsidies, n, tuple(zip(indices, values))
+
+
+@SETTINGS
+@given(loss_cases(), reals(*ALPHA_BOUNDS), reals(*BETA_BOUNDS))
+@example(([-1e12], 1, ((0, 1.0),)), 100.0, 0.5)  # p underflows to 0 and is raised to _TINY
+@example(([1e12], 1, ((0, 1.0),)), 100.0, 1.0)  # p rounds to 1 and is cut to nextafter(1, 0)
+def test_scalar_loss_equals_engine_curve_loss(case, alpha, beta):
+    yearly_subsidies, n, observed = case
+    params, prices, _, _ = load_default_scenario()
+    params = replace(params, end_year=params.start_year + len(yearly_subsidies) - 1,
+                     total_farmers=n)
+    subsidies = YearSeries(params.start_year, tuple(yearly_subsidies))
+    utilities = representative_utilities(params, prices, subsidies)
+    _, _, cumulative = deterministic_curve(utilities, alpha, beta, n, "hazard")
+    for kind in LOSS_KINDS:
+        target = CalibrationTarget(
+            observations=tuple((params.start_year + i, v) for i, v in observed), loss=kind)
+        expected = 0.0
+        for index, value in observed:
+            diff = cumulative[index] - value
+            expected += diff * diff if kind == "squared_error" else abs(diff)
+        loss = _Objective(params, prices, subsidies, target, budget=1).loss(alpha, beta)
+        assert loss.hex() == expected.hex()
