@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import require_finite, require_integer
-from .engine import _TINY, _logistic, representative_utilities
+from .engine import _curve, _logistic, representative_utilities
 from .errors import CalibrationFailedError, ValidationError
 
 ALPHA_BOUNDS = (1e-3, 100.0)
@@ -97,9 +97,9 @@ class _Objective:
 
     The midpoint-cost utilities do not depend on (alpha, beta), so they are
     computed once, up to the last observed year; the kernel's alpha half is
-    computed once per alpha, so a beta poll reruns only the beta half and
-    the hazard recurrence. A point scored before (Hooke-Jeeves re-polls
-    some) is looked up, but still counts toward the budget.
+    computed once per alpha and kept as lists, so a beta poll reruns only
+    engine._curve. A point scored before (Hooke-Jeeves re-polls some) is
+    looked up, but still counts toward the budget.
     """
 
     def __init__(self, params, prices, subsidies, target, budget):
@@ -109,7 +109,7 @@ class _Objective:
         self._utilities = representative_utilities(params, prices, subsidies)[:last + 1]
         self._total = float(params.total_farmers)  # float - float is Python's fast path
         self._squared = target.loss == "squared_error"
-        self._halves = {}  # alpha -> (s, d) from engine._logistic
+        self._halves = {}  # alpha -> (s, d) lists from engine._logistic
         self._scored = {}  # (alpha, beta) -> loss
         self.budget = budget
         self.evaluations = 0
@@ -120,40 +120,25 @@ class _Objective:
 
     def loss(self, alpha, beta):
         if alpha not in self._halves:
-            self._halves[alpha] = _logistic(self._utilities, alpha, self._total)
+            s, d = _logistic(self._utilities, alpha, self._total)
+            self._halves[alpha] = (s.tolist(), d.tolist())
         return self._score(self._halves[alpha], beta)
 
     def _score(self, halves, beta):
-        """Loss from an alpha half: the beta half, the hazard recurrence and the sum.
-
-        One pass over Python floats, with the IEEE operations of engine._capped
-        and adoption_curve's hazard branch in their order, so the bits match;
-        on at most n_years values numpy's per-call overhead would dominate.
-        The clamp compares as np.clip does, so a NaN passes through.
-        """
-        lo, hi = _TINY, math.nextafter(beta, 0.0)
-        total, level, cumulative = self._total, 0.0, []
-        for s, d in zip(halves[0].tolist(), halves[1].tolist()):
-            p = s * beta / d
-            if p < lo:
-                p = lo
-            elif p > hi:
-                p = hi
-            level += p * (total - level)
-            cumulative.append(level)
+        """Loss from an alpha half: engine._curve's levels against the observations."""
+        _, levels = _curve(*halves, beta, self._total)
         loss = 0.0
         for index, observed in self._observed:
-            diff = cumulative[index] - observed
+            diff = levels[index] - observed
             loss += diff * diff if self._squared else abs(diff)
         return loss
 
     def grid(self, alphas, betas):
         """(loss, alpha, beta) of every pair, alpha-major; the alpha halves in one array pass."""
-        with np.errstate(over="ignore"):  # overflow gives inf
-            s, d = _logistic(self._utilities, alphas[:, None], self._total)
+        s, d = _logistic(self._utilities, alphas[:, None], self._total)
         betas = betas.tolist()
         cells = []
-        for alpha, halves in zip(alphas.tolist(), zip(s, d)):
+        for alpha, halves in zip(alphas.tolist(), zip(s.tolist(), d.tolist())):
             self._halves[alpha] = halves
             cells.extend((self._score(halves, beta), alpha, beta) for beta in betas)
         self.evaluations += len(cells)
@@ -217,6 +202,7 @@ def _pattern_search(objective, point, value, step):
     return value, step < REFINE_TOLERANCE
 
 
+@np.errstate(over="ignore")  # alpha*U overflowing to +-inf gives the cap or the floor
 def calibrate(params, prices, subsidies, target, budget=2000):
     """Fit (alpha, beta) so the deterministic simulation matches the target.
 
@@ -232,6 +218,7 @@ def calibrate(params, prices, subsidies, target, budget=2000):
     than being cut off by the budget.
     """
     target.validate_against(params)
+    budget = require_integer("budget", budget)
     if budget < GRID_SIZE:
         raise ValidationError(f"budget must be >= the grid size {GRID_SIZE}, got {budget}")
 

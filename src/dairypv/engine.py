@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SimulationResult, YearRecord, require_finite
+from .domain import SimulationResult, YearRecord, require_finite, require_integer
 from .errors import CoverageGapError, ValidationError
 
 # Smallest positive float; floor for probabilities when the exponential
@@ -90,48 +90,36 @@ def _capped(halves, beta, out=None):
     s, d = halves
     p = np.multiply(s, beta, out=out)
     p /= d
-    cap = np.nextafter(beta, 0.0) if isinstance(beta, np.ndarray) else math.nextafter(beta, 0.0)
-    return p.clip(_TINY, cap, out=p)
+    return p.clip(_TINY, math.nextafter(beta, 0.0), out=p)
 
 
 def _probability_array(utilities, alpha, beta, total_farmers, out=None):
-    """Probability kernel in place, so an array alpha or beta must broadcast to the result.
-
-    `out`, if given, receives the result.
-    """
+    """Probability kernel; `out`, if given, receives the result."""
     halves = _logistic(utilities, alpha, total_farmers, out=out)
     return _capped(halves, beta, out=halves[0])
 
 
-def deterministic_curve(utilities, alpha, beta, total_farmers, semantics):
-    """Expected adoption path for a sequence of yearly utilities; see adoption_curve."""
-    return adoption_curve(_probability_array(utilities, alpha, beta, total_farmers),
-                          total_farmers, semantics)
+def _curve(s, d, beta, total_farmers):
+    """Deterministic adoption path from an alpha half as lists: (probabilities, levels).
 
-
-def adoption_curve(array, total_farmers, semantics):
-    """Expected adoption path for yearly probabilities, year axis last.
-
-    Returns (probabilities, new_adopters, cumulative_adopters) as lists, one
-    entry per year: floats, or arrays of the leading axes' shape. Hazard
-    semantics draw new adopters from the not-yet-adopted pool; literal
-    semantics recompute the cumulative level as p * N each year (new
-    adopters reported as the non-negative difference).
+    Per year, p = s*beta/d clamped as _capped clamps it, then the hazard
+    level += p * (N - level). One pass over Python floats with _capped's
+    IEEE operations in their order, so p has its bits; on at most n_years
+    values numpy's per-call overhead would dominate. The clamp compares as
+    np.clip does, so a NaN passes through.
     """
-    probabilities = array.tolist() if array.ndim == 1 else list(np.moveaxis(array, -1, 0))
-    new, cumulative = [], []
-    prior = 0.0
-    for p in probabilities:
-        if semantics == "hazard":
-            added = p * (total_farmers - prior)
-            level = prior + added
-        else:
-            level = p * total_farmers
-            added = np.maximum(0.0, level - prior)
-        new.append(added)
-        cumulative.append(level)
-        prior = level
-    return probabilities, new, cumulative
+    lo, hi = _TINY, math.nextafter(beta, 0.0)
+    probabilities, levels, level = [], [], 0.0
+    for s_t, d_t in zip(s, d):
+        p = s_t * beta / d_t
+        if p < lo:
+            p = lo
+        elif p > hi:
+            p = hi
+        level += p * (total_farmers - level)
+        probabilities.append(p)
+        levels.append(level)
+    return probabilities, levels
 
 
 def check_series_coverage(series, name, params):
@@ -229,18 +217,28 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
         remaining = stayed
 
 
+@np.errstate(over="ignore")  # alpha*U overflowing to +-inf gives the cap or the floor
 def run_simulation(params, prices, subsidies):
     """Run the full multi-year simulation; one YearRecord per year.
 
     Both series must cover [start_year, end_year]; coverage is checked
     before the first year so failures never produce partial results.
-    Semantics switches apply to deterministic mode only.
+    Semantics switches apply to deterministic mode only: hazard semantics
+    draw new adopters from the not-yet-adopted pool; literal semantics
+    recompute the cumulative level as p * N each year (new adopters
+    reported as the non-negative difference).
     """
     if params.mode == "deterministic":
         utilities = representative_utilities(params, prices, subsidies)
-        columns = (utilities.tolist(), *deterministic_curve(
-            utilities, params.alpha, params.beta, params.total_farmers,
-            params.adoption_semantics))
+        n = float(params.total_farmers)
+        halves = _logistic(utilities, params.alpha, n)
+        probabilities, levels = _curve(*(half.tolist() for half in halves), params.beta, n)
+        if params.adoption_semantics == "hazard":
+            new = [p * (n - prior) for p, prior in zip(probabilities, [0.0, *levels])]
+        else:
+            levels = [p * n for p in probabilities]
+            new = [max(0.0, level - prior) for level, prior in zip(levels, [0.0, *levels])]
+        columns = (utilities.tolist(), probabilities, new, levels)
     else:
         columns = zip(*_stochastic_run(params, _annuity(params),
                                        *_yearly_inputs(params, prices, subsidies)))
@@ -295,6 +293,7 @@ class MonteCarloSummary:
         object.__setattr__(self, "rows", tuple(self.rows))
 
 
+@np.errstate(over="ignore")  # as in run_simulation
 def run_monte_carlo(params, prices, subsidies, replications, base_seed):
     """Replicate the stochastic simulation and aggregate per-year statistics.
 
@@ -303,6 +302,8 @@ def run_monte_carlo(params, prices, subsidies, replications, base_seed):
     does not depend on any execution schedule. std is the population
     standard deviation (zero for a single replication).
     """
+    replications = require_integer("replications", replications)
+    base_seed = require_integer("base_seed", base_seed)
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
     if params.mode != "stochastic":

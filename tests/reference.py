@@ -1,9 +1,11 @@
-"""Scalar reference routes the vectorized program is tested against.
+"""Reference routes the program is tested against.
 
 The utility oracle computes one farmer's utility term by term: yearly
 savings, their net present value over the horizon, then the net
 installation cost. The engine's affine `_utility` kernel must agree with it
-to rounding. Inputs are not checked here; the program checks them at its
+to rounding. The deterministic curve takes the numpy probability kernel
+over all years, then the yearly recurrence; the engine's scalar `_curve`
+must give its bits. Inputs are not checked here; the program checks them at its
 boundaries (ScenarioParams, YearSeries, the loaders).
 """
 
@@ -46,6 +48,29 @@ def agent_utility(pv_cost, params, energy_price, subsidy):
 def adoption_probability(utility, alpha, beta, total_farmers):
     """The engine's probability kernel at one utility, as a float."""
     return float(_probability_array(np.array([utility]), alpha, beta, total_farmers)[0])
+
+
+def deterministic_curve(utilities, alpha, beta, total_farmers, semantics):
+    """Expected adoption path as (probabilities, new_adopters, cumulative_adopters) lists.
+
+    Hazard semantics draw new adopters from the not-yet-adopted pool;
+    literal semantics recompute the cumulative level as p * N each year
+    (new adopters reported as the non-negative difference).
+    """
+    probabilities = _probability_array(utilities, alpha, beta, total_farmers).tolist()
+    new, cumulative = [], []
+    prior = 0.0
+    for p in probabilities:
+        if semantics == "hazard":
+            added = p * (total_farmers - prior)
+            level = prior + added
+        else:
+            level = p * total_farmers
+            added = float(np.maximum(0.0, level - prior))
+        new.append(added)
+        cumulative.append(level)
+        prior = level
+    return probabilities, new, cumulative
 
 
 def evaluate_loss(candidate, params, prices, subsidies, target):

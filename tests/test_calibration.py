@@ -130,6 +130,21 @@ class TestCalibrate:
         with pytest.raises(ValidationError, match="budget"):
             calibrate(default_params, price_series, subsidy_series, target, budget=399)
 
+    @pytest.mark.parametrize("budget", [400.5, 400.0, True, "400"])
+    def test_budget_must_be_an_integer(self, default_params, price_series, subsidy_series,
+                                       budget):
+        target = CalibrationTarget(observations=((2022, 441.0),))
+        with pytest.raises(ValidationError, match="budget must be an integer"):
+            calibrate(default_params, price_series, subsidy_series, target, budget=budget)
+
+    def test_numpy_integer_budget_is_accepted(self, default_params, price_series,
+                                              subsidy_series):
+        target = CalibrationTarget(observations=((2022, 441.0),))
+        fit = calibrate(default_params, price_series, subsidy_series, target,
+                        budget=np.int64(GRID_SIZE + 1))
+        assert fit == calibrate(default_params, price_series, subsidy_series, target,
+                                budget=GRID_SIZE + 1)
+
     def test_grid_only_budget_returns_best_grid_point(
         self, default_params, price_series, subsidy_series
     ):

@@ -130,6 +130,29 @@ class TestRunCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so stderr shows what a user would see."""
+    src = str(Path(dairypv.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "dairypv.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--mode", "stochastic", "--seed", "3"],
+    ["monte-carlo", "--replications", "2", "--seed", "3"],
+])
+def test_kernel_overflow_prints_nothing_on_stderr(tmp_path, argv):
+    # alpha * utility overflows to +-inf: the probability is the cap or the floor
+    config = write_scenario(tmp_path, config={"alpha": 1.0e308})
+    proc = run_cli(*argv, "--config", str(config))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 4  # header + 3 years
+
+
 def bundled_config_copy(tmp_path, **overrides):
     """The bundled scenario with absolute series paths and overrides, as a file."""
     data = yaml.safe_load(default_scenario_path().read_text())
@@ -197,14 +220,7 @@ class TestCalibrateCommand:
         config = bundled_config_copy(tmp_path, total_farmers=10**300)
         target = tmp_path / "huge_target.csv"
         target.write_text("year,cumulative_adopters\n2022,1e299\n")
-        src = str(Path(dairypv.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "dairypv.cli", "calibrate", "--config", str(config),
-             "--target", str(target)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_cli("calibrate", "--config", str(config), "--target", str(target))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == ("calibration failed: no grid point produced a finite loss; "

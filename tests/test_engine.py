@@ -7,7 +7,7 @@ import pytest
 
 from dairypv import engine
 from dairypv.domain import ScenarioParams, YearSeries
-from dairypv.engine import _annuity, _utility, deterministic_curve, run_simulation
+from dairypv.engine import _annuity, _utility, run_simulation
 from dairypv.errors import CoverageGapError, ValidationError
 from reference import adoption_probability, agent_utility, net_present_value
 
@@ -70,7 +70,7 @@ class TestAdoptionProbability:
 
 
 class TestStepYearDeterministic:
-    """One deterministic year: run_simulation and the deterministic_curve recurrence."""
+    """Deterministic years through run_simulation's recurrence."""
 
     def test_hazard_draws_from_remaining_pool(self):
         # generation 0, maintenance 0, subsidy == cost -> EU = 0 -> p = beta/2
@@ -89,8 +89,12 @@ class TestStepYearDeterministic:
     def test_saturated_population_adds_nobody(self):
         # beta = 1 and a huge utility give p = nextafter(1, 0): the first
         # year takes the whole pool up to rounding, later years add nothing
-        _, new, cumulative = deterministic_curve(
-            np.full(4, 1e12), alpha=1.0, beta=1.0, total_farmers=18000, semantics="hazard")
+        params = make_params(end_year=2008, alpha=1.0, beta=1.0)
+        records = run_simulation(params, flat_series(params, 0.2),
+                                 flat_series(params, 1e12)).records
+        new = [r.new_adopters for r in records]
+        cumulative = [r.cumulative_adopters for r in records]
+        assert all(r.probability == math.nextafter(1.0, 0.0) for r in records)
         assert cumulative[0] == pytest.approx(18000.0, rel=1e-12)
         assert all(0.0 <= n < 1e-9 for n in new[1:])
         assert cumulative == sorted(cumulative) and cumulative[-1] <= 18000.0

@@ -76,6 +76,25 @@ def test_replications_must_be_positive(price_series, subsidy_series):
                         replications=0, base_seed=1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("replications", True), ("replications", 2.0), ("base_seed", True), ("base_seed", 5.0),
+])
+def test_integer_arguments_reject_other_types(price_series, subsidy_series, name, value):
+    arguments = {"replications": 2, "base_seed": 5, name: value}
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        run_monte_carlo(make_params(total_farmers=50), price_series, subsidy_series,
+                        **arguments)
+
+
+def test_numpy_integer_arguments_are_stored_as_int(price_series, subsidy_series):
+    params = make_params(total_farmers=50)
+    summary = run_monte_carlo(params, price_series, subsidy_series,
+                              replications=np.int64(2), base_seed=np.uint64(5))
+    assert type(summary.replications) is int and type(summary.base_seed) is int
+    assert summary == run_monte_carlo(params, price_series, subsidy_series,
+                                      replications=2, base_seed=5)
+
+
 def test_requires_stochastic_mode(price_series, subsidy_series):
     params = make_params(mode="deterministic", seed=None)
     with pytest.raises(ValidationError, match="stochastic"):

@@ -28,10 +28,10 @@ from dairypv.engine import (
     _probability_array,
     _stochastic_years,
     _utility,
-    deterministic_curve,
     representative_utilities,
+    run_simulation,
 )
-from reference import agent_utility
+from reference import agent_utility, deterministic_curve
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -206,21 +206,6 @@ def test_hazard_and_literal_invariants(utilities, alpha, beta, n):
         prior = level
 
 
-@SETTINGS
-@given(hnp.arrays(np.float64, st.integers(1, 18), elements=st.floats(-1e5, 1e5)),
-       st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-4, 1.0)), min_size=1,
-                max_size=5),
-       st.integers(1, 10**6), st.sampled_from(["hazard", "literal"]))
-def test_curve_over_leading_axis_equals_one_curve_per_row(utilities, pairs, n, semantics):
-    alphas = np.array([[a] for a, _ in pairs])
-    betas = np.array([[b] for _, b in pairs])
-    columns = deterministic_curve(utilities, alphas, betas, n, semantics)
-    for row, (alpha, beta) in enumerate(pairs):
-        expected = deterministic_curve(utilities, alpha, beta, n, semantics)
-        for got, want in zip(columns, expected):
-            assert [year[row] for year in got] == want
-
-
 @st.composite
 def calibration_targets(draw):
     """1-3 observations of the bundled 2005-2022 scenario at a random N."""
@@ -263,16 +248,41 @@ def loss_cases(draw):
     return subsidies, n, tuple(zip(indices, values))
 
 
+def bundled_with_subsidies(yearly_subsidies, **overrides):
+    """The bundled scenario cut to the given yearly subsidies: (params, prices, subsidies)."""
+    params, prices, _, _ = load_default_scenario()
+    params = replace(params, end_year=params.start_year + len(yearly_subsidies) - 1,
+                     **overrides)
+    return params, prices, YearSeries(params.start_year, tuple(yearly_subsidies))
+
+
+@SETTINGS
+@given(loss_cases(), alphas, betas)
+@example(([-1e12], 1, ((0, 1.0),)), 100.0, 0.5)  # p underflows to 0 and is raised to _TINY
+@example(([1e12], 1, ((0, 1.0),)), 100.0, 1.0)  # p rounds to 1 and is cut to nextafter(1, 0)
+def test_run_records_equal_numpy_kernel_curve(case, alpha, beta):
+    yearly_subsidies, n, _ = case
+    for semantics in ("hazard", "literal"):
+        params, prices, subsidies = bundled_with_subsidies(
+            yearly_subsidies, total_farmers=n, alpha=alpha, beta=beta,
+            adoption_semantics=semantics)
+        records = run_simulation(params, prices, subsidies).records
+        with np.errstate(over="ignore"):
+            expected = deterministic_curve(representative_utilities(params, prices, subsidies),
+                                           alpha, beta, n, semantics)
+        got = [[r.probability for r in records], [r.new_adopters for r in records],
+               [r.cumulative_adopters for r in records]]
+        assert [[v.hex() for v in column] for column in got] == [
+            [v.hex() for v in column] for column in expected]
+
+
 @SETTINGS
 @given(loss_cases(), reals(*ALPHA_BOUNDS), reals(*BETA_BOUNDS))
 @example(([-1e12], 1, ((0, 1.0),)), 100.0, 0.5)  # p underflows to 0 and is raised to _TINY
 @example(([1e12], 1, ((0, 1.0),)), 100.0, 1.0)  # p rounds to 1 and is cut to nextafter(1, 0)
 def test_scalar_loss_equals_engine_curve_loss(case, alpha, beta):
     yearly_subsidies, n, observed = case
-    params, prices, _, _ = load_default_scenario()
-    params = replace(params, end_year=params.start_year + len(yearly_subsidies) - 1,
-                     total_farmers=n)
-    subsidies = YearSeries(params.start_year, tuple(yearly_subsidies))
+    params, prices, subsidies = bundled_with_subsidies(yearly_subsidies, total_farmers=n)
     utilities = representative_utilities(params, prices, subsidies)
     _, _, cumulative = deterministic_curve(utilities, alpha, beta, n, "hazard")
     for kind in LOSS_KINDS:
