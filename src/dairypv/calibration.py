@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import require_finite, require_integer
-from .engine import _curve, _logistic, representative_utilities
+from .engine import _curve, _decay, representative_utilities
 from .errors import CalibrationFailedError, ValidationError
 
 ALPHA_BOUNDS = (1e-3, 100.0)
@@ -95,21 +95,21 @@ def _clamp(value, lo, hi):
 class _Objective:
     """Budget-counting loss in log10 coordinates.
 
-    The midpoint-cost utilities do not depend on (alpha, beta), so they are
-    computed once, up to the last observed year; the kernel's alpha half is
-    computed once per alpha and kept as lists, so a beta poll reruns only
-    engine._curve. A point scored before (Hooke-Jeeves re-polls some) is
-    looked up, but still counts toward the budget.
+    The midpoint-cost utilities U do not depend on (alpha, beta), so |U| and U >= 0
+    are kept from one pass up to the last observed year, and engine._decay's e as a
+    list per alpha: a beta poll reruns only engine._curve. A point scored before
+    (Hooke-Jeeves re-polls some) is looked up, but still counts toward the budget.
     """
 
     def __init__(self, params, prices, subsidies, target, budget):
         self._observed = [(year - params.start_year, value)
                           for year, value in target.observations]
         last = max(index for index, _ in self._observed)
-        self._utilities = representative_utilities(params, prices, subsidies)[:last + 1]
+        utilities = representative_utilities(params, prices, subsidies)[:last + 1]
+        self._magnitudes, self._nonneg = np.abs(utilities), (utilities >= 0).tolist()
         self._total = float(params.total_farmers)  # float - float is Python's fast path
         self._squared = target.loss == "squared_error"
-        self._halves = {}  # alpha -> (s, d) lists from engine._logistic
+        self._decays = {}  # alpha -> engine._decay's e as a list
         self._scored = {}  # (alpha, beta) -> loss
         self.budget = budget
         self.evaluations = 0
@@ -119,14 +119,13 @@ class _Objective:
         return self.evaluations >= self.budget
 
     def loss(self, alpha, beta):
-        if alpha not in self._halves:
-            s, d = _logistic(self._utilities, alpha, self._total)
-            self._halves[alpha] = (s.tolist(), d.tolist())
-        return self._score(self._halves[alpha], beta)
+        if alpha not in self._decays:
+            self._decays[alpha] = _decay(self._magnitudes, alpha, self._total).tolist()
+        return self._score(self._decays[alpha], beta)
 
-    def _score(self, halves, beta):
-        """Loss from an alpha half: engine._curve's levels against the observations."""
-        _, levels = _curve(*halves, beta, self._total)
+    def _score(self, decay, beta):
+        """Loss from one alpha's e: engine._curve's levels against the observations."""
+        levels = _curve(decay, self._nonneg, beta, self._total)
         loss = 0.0
         for index, observed in self._observed:
             diff = levels[index] - observed
@@ -134,13 +133,12 @@ class _Objective:
         return loss
 
     def grid(self, alphas, betas):
-        """(loss, alpha, beta) of every pair, alpha-major; the alpha halves in one array pass."""
-        s, d = _logistic(self._utilities, alphas[:, None], self._total)
-        betas = betas.tolist()
-        cells = []
-        for alpha, halves in zip(alphas.tolist(), zip(s.tolist(), d.tolist())):
-            self._halves[alpha] = halves
-            cells.extend((self._score(halves, beta), alpha, beta) for beta in betas)
+        """(loss, alpha, beta) of every pair, alpha-major; each alpha's e in one array pass."""
+        decays = _decay(self._magnitudes, alphas[:, None], self._total).tolist()
+        alphas, betas = alphas.tolist(), betas.tolist()
+        self._decays.update(zip(alphas, decays))
+        cells = [(self._score(e, beta), alpha, beta)
+                 for alpha, e in zip(alphas, decays) for beta in betas]
         self.evaluations += len(cells)
         self._scored.update(((alpha, beta), loss) for loss, alpha, beta in cells)
         return cells

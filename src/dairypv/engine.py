@@ -68,21 +68,26 @@ def _utility(params, annuity, energy_price, pv_cost, subsidy, out=None):
     return np.add(u, subsidy, out=out)
 
 
-def _logistic(utilities, alpha, total_farmers, out=None):
-    """Alpha half of the probability kernel: (s, d), where p = beta*s/d.
+def _decay(magnitudes, alpha, total_farmers, out=None):
+    """e = exp(((-alpha)*|U|)/N) from magnitudes |U|; `out`, if given, receives e.
 
-    With x = alpha*U/N and e = exp(-|x|), beta/(1 + exp(-x)) is beta/(1 + e)
-    for x >= 0 and e*beta/(1 + e) for x < 0: s = where(x >= 0, 1, e), d = 1 + e.
-    Since 0 <= e <= 1, s is max(e, x >= 0), which selects without branching
-    per element. exp never sees a positive argument, so it can underflow but
-    never overflow. `out`, if given, receives s.
+    For alpha > 0 this has the bits of exp(-|alpha*U/N|), because IEEE multiply
+    and divide round the same way for either sign. exp can underflow, never overflow.
     """
-    x = alpha * utilities / total_farmers
-    nonneg = x >= 0
-    e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
-    s = np.maximum(e, nonneg, out=out)
-    e += 1.0
-    return s, e
+    e = np.multiply(-alpha, magnitudes, out=out)
+    return np.exp(np.divide(e, total_farmers, out=e), out=e)
+
+
+def _logistic(utilities, alpha, total_farmers, out=None):
+    """Alpha half of the probability kernel: (s, d), where p = beta*s/d; `out` receives s.
+
+    With e from _decay, beta/(1 + exp(-x)), x = alpha*U/N, is beta/(1 + e) where U >= 0,
+    else e*beta/(1 + e): s = max(e, U >= 0), as 0 <= e <= 1, and d = 1 + e. U >= 0 and
+    x >= 0 differ only where x underflows to -0.0, and there e = 1, so s is the same.
+    """
+    e = np.abs(utilities)
+    s = np.maximum(_decay(e, alpha, total_farmers, out=e), utilities >= 0, out=out)
+    return s, np.add(e, 1.0, out=e)
 
 
 def _capped(halves, beta, out=None):
@@ -99,27 +104,23 @@ def _probability_array(utilities, alpha, beta, total_farmers, out=None):
     return _capped(halves, beta, out=halves[0])
 
 
-def _curve(s, d, beta, total_farmers):
-    """Deterministic adoption path from an alpha half as lists: (probabilities, levels).
+def _curve(decay, nonneg, beta, total_farmers):
+    """Deterministic hazard levels as a list, from lists of _decay's e and U >= 0.
 
-    Per year, p = s*beta/d clamped as _capped clamps it, then the hazard
-    level += p * (N - level). One pass over Python floats with _capped's
-    IEEE operations in their order, so p has its bits; on at most n_years
-    values numpy's per-call overhead would dominate. The clamp compares as
-    np.clip does, so a NaN passes through.
+    p = (beta if U >= 0 else e*beta)/(1 + e), _capped's bits, clamped by comparisons
+    as np.clip clamps (a NaN passes through); then level += p * (N - level).
     """
     lo, hi = _TINY, math.nextafter(beta, 0.0)
-    probabilities, levels, level = [], [], 0.0
-    for s_t, d_t in zip(s, d):
-        p = s_t * beta / d_t
+    levels, level = [], 0.0
+    for e_t, nonneg_t in zip(decay, nonneg):
+        p = (beta if nonneg_t else e_t * beta) / (1.0 + e_t)
         if p < lo:
             p = lo
         elif p > hi:
             p = hi
         level += p * (total_farmers - level)
-        probabilities.append(p)
         levels.append(level)
-    return probabilities, levels
+    return levels
 
 
 def check_series_coverage(series, name, params):
@@ -231,9 +232,10 @@ def run_simulation(params, prices, subsidies):
     if params.mode == "deterministic":
         utilities = representative_utilities(params, prices, subsidies)
         n = float(params.total_farmers)
-        halves = _logistic(utilities, params.alpha, n)
-        probabilities, levels = _curve(*(half.tolist() for half in halves), params.beta, n)
+        probabilities = _probability_array(utilities, params.alpha, params.beta, n).tolist()
         if params.adoption_semantics == "hazard":
+            levels = _curve(_decay(np.abs(utilities), params.alpha, n).tolist(),
+                            (utilities >= 0).tolist(), params.beta, n)
             new = [p * (n - prior) for p, prior in zip(probabilities, [0.0, *levels])]
         else:
             levels = [p * n for p in probabilities]

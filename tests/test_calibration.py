@@ -210,9 +210,9 @@ def test_no_point_is_scored_twice(default_params, price_series, subsidy_series, 
     scored = []
     score = _Objective._score
 
-    def recording_score(self, halves, beta):
-        scored.append((next(a for a, h in self._halves.items() if h is halves), beta))
-        return score(self, halves, beta)
+    def recording_score(self, decay, beta):
+        scored.append((next(a for a, e in self._decays.items() if e is decay), beta))
+        return score(self, decay, beta)
 
     monkeypatch.setattr(_Objective, "_score", recording_score)
     target = CalibrationTarget(observations=observations)
@@ -227,17 +227,17 @@ def test_no_point_is_scored_twice(default_params, price_series, subsidy_series, 
 def test_alpha_half_is_computed_once_per_scored_alpha(
         default_params, price_series, subsidy_series, monkeypatch, observations):
     computed, polled = [], []
-    logistic, loss = calibration._logistic, _Objective.loss
+    decay, loss = calibration._decay, _Objective.loss
 
-    def recording_logistic(utilities, alpha, total_farmers):
+    def recording_decay(magnitudes, alpha, total_farmers, out=None):
         computed.extend(np.ravel(alpha).tolist())
-        return logistic(utilities, alpha, total_farmers)
+        return decay(magnitudes, alpha, total_farmers, out=out)
 
     def recording_loss(self, alpha, beta):
         polled.append(alpha)
         return loss(self, alpha, beta)
 
-    monkeypatch.setattr(calibration, "_logistic", recording_logistic)
+    monkeypatch.setattr(calibration, "_decay", recording_decay)
     monkeypatch.setattr(_Objective, "loss", recording_loss)
     target = CalibrationTarget(observations=observations)
     calibrate(default_params, price_series, subsidy_series, target, budget=2000)

@@ -24,6 +24,7 @@ from dairypv.engine import (
     _TINY,
     _annuity,
     _capped,
+    _decay,
     _logistic,
     _probability_array,
     _stochastic_years,
@@ -49,6 +50,10 @@ utility_arrays = hnp.arrays(
 alphas = st.one_of(st.floats(5e-324, 1e300), st.sampled_from([5e-324, 1e-12, 1.0, 1e300]))
 betas = st.one_of(st.floats(1e-323, 1.0), st.sampled_from([1e-323, 1e-300, 0.0023, 1.0]))
 farmer_counts = st.integers(1, 10**6)
+
+
+def reals(low, high):
+    return st.floats(low, high, allow_subnormal=False)
 
 
 def two_branch_probability(utilities, alpha, beta, total_farmers):
@@ -83,6 +88,21 @@ def test_kernel_halves_match_two_branch_formula_in_and_out_of_place(utilities, a
 
 
 @SETTINGS
+@given(utility_arrays, st.one_of(alphas, reals(*ALPHA_BOUNDS)), farmer_counts)
+@example(np.array([-1e-300, 1e-300]), 1e-30, 1)  # alpha*U underflows to -0.0 at the negative U
+@example(np.array([-0.0, 0.0]), 1.0, 1)
+@example(np.array([-1e300, 1e300]), 1e300, 1)  # alpha*U overflows to -inf and +inf
+def test_decay_and_alpha_half_equal_the_signed_formula(utilities, alpha, n):
+    with np.errstate(over="ignore"):
+        x = alpha * utilities / n
+        e = np.exp(-np.abs(x))
+        assert _decay(np.abs(utilities), alpha, n).tobytes() == e.tobytes()
+        s, d = _logistic(utilities, alpha, n)
+    assert s.tobytes() == np.maximum(e, x >= 0).tobytes()
+    assert d.tobytes() == (e + 1.0).tobytes()
+
+
+@SETTINGS
 @given(utility_arrays, alphas, betas, farmer_counts, st.data())
 def test_kernel_on_subset_equals_subset_of_kernel(utilities, alpha, beta, n, data):
     picks = data.draw(hnp.arrays(np.bool_, len(utilities)))
@@ -91,10 +111,6 @@ def test_kernel_on_subset_equals_subset_of_kernel(utilities, alpha, beta, n, dat
         full = _probability_array(utilities, alpha, beta, n)
         gathered = _probability_array(utilities[subset], alpha, beta, n)
     assert gathered.tobytes() == full[subset].tobytes()
-
-
-def reals(low, high):
-    return st.floats(low, high, allow_subnormal=False)
 
 
 @st.composite
