@@ -32,8 +32,20 @@ REFINE_TOLERANCE = 1e-6
 
 LOSS_KINDS = ("squared_error", "absolute_error")
 
+
+def _clamp(value, lo, hi):
+    return lo if value < lo else hi if value > hi else value
+
+
 _LOG_ALPHA = (math.log10(ALPHA_BOUNDS[0]), math.log10(ALPHA_BOUNDS[1]))
 _LOG_BETA = (math.log10(BETA_BOUNDS[0]), math.log10(BETA_BOUNDS[1]))
+# The grid axes, made from evenly spaced log10 coordinates as a poll makes its point,
+# and pattern search's first step: the wider log10 grid spacing.
+GRID_ALPHAS, GRID_BETAS = (
+    [_clamp(10.0**x, *bounds)
+     for x in np.linspace(*log_bounds, GRID_POINTS_PER_AXIS).tolist()]
+    for log_bounds, bounds in ((_LOG_ALPHA, ALPHA_BOUNDS), (_LOG_BETA, BETA_BOUNDS)))
+_INITIAL_STEP = max(b - a for a, b in (_LOG_ALPHA, _LOG_BETA)) / (GRID_POINTS_PER_AXIS - 1)
 
 
 @dataclass(frozen=True)
@@ -88,10 +100,6 @@ class CalibrationResult:
             raise ValidationError(f"achieved_loss must be >= 0, got {self.achieved_loss}")
 
 
-def _clamp(value, lo, hi):
-    return lo if value < lo else hi if value > hi else value
-
-
 class _Objective:
     """Budget-counting loss in log10 coordinates.
 
@@ -132,13 +140,12 @@ class _Objective:
             loss += diff * diff if self._squared else abs(diff)
         return loss
 
-    def grid(self, alphas, betas):
-        """(loss, alpha, beta) of every pair, alpha-major; each alpha's e in one array pass."""
-        decays = _decay(self._magnitudes, alphas[:, None], self._total).tolist()
-        alphas, betas = alphas.tolist(), betas.tolist()
-        self._decays.update(zip(alphas, decays))
+    def grid(self):
+        """(loss, alpha, beta) of every grid cell, alpha-major; all alphas' e in one array pass."""
+        decays = _decay(self._magnitudes, np.array(GRID_ALPHAS)[:, None], self._total).tolist()
+        self._decays.update(zip(GRID_ALPHAS, decays))
         cells = [(self._score(e, beta), alpha, beta)
-                 for alpha, e in zip(alphas, decays) for beta in betas]
+                 for alpha, e in zip(GRID_ALPHAS, decays) for beta in GRID_BETAS]
         self.evaluations += len(cells)
         self._scored.update(((alpha, beta), loss) for loss, alpha, beta in cells)
         return cells
@@ -220,14 +227,8 @@ def calibrate(params, prices, subsidies, target, budget=2000):
     if budget < GRID_SIZE:
         raise ValidationError(f"budget must be >= the grid size {GRID_SIZE}, got {budget}")
 
-    # logspace endpoints can land one ulp outside the declared bounds
-    alphas = np.clip(np.logspace(*_LOG_ALPHA, GRID_POINTS_PER_AXIS), *ALPHA_BOUNDS)
-    betas = np.clip(np.logspace(*_LOG_BETA, GRID_POINTS_PER_AXIS), *BETA_BOUNDS)
-    spans = (_LOG_ALPHA[1] - _LOG_ALPHA[0], _LOG_BETA[1] - _LOG_BETA[0])
-    initial_step = max(spans) / (GRID_POINTS_PER_AXIS - 1)  # the wider log10 grid spacing
-
     objective = _Objective(params, prices, subsidies, target, budget)
-    grid = sorted(cell for cell in objective.grid(alphas, betas) if math.isfinite(cell[0]))
+    grid = sorted(cell for cell in objective.grid() if math.isfinite(cell[0]))
     if not grid:
         raise CalibrationFailedError(
             "no grid point produced a finite loss; calibration cannot proceed"
@@ -238,7 +239,7 @@ def calibrate(params, prices, subsidies, target, budget=2000):
         if objective.exhausted:
             break
         point = (math.log10(start[1]), math.log10(start[2]))
-        value, reached_tol = _pattern_search(objective, point, start, initial_step)
+        value, reached_tol = _pattern_search(objective, point, start, _INITIAL_STEP)
         best = min(best, (value, not reached_tol))
 
     (loss, alpha, beta), unconverged = best

@@ -78,37 +78,25 @@ def _decay(magnitudes, alpha, total_farmers, out=None):
     return np.exp(np.divide(e, total_farmers, out=e), out=e)
 
 
-def _logistic(utilities, alpha, total_farmers, out=None):
-    """Alpha half of the probability kernel: (s, d), where p = beta*s/d; `out` receives s.
+def _probability_array(utilities, alpha, beta, total_farmers, out=None):
+    """Probability kernel beta/(1 + exp(-x)), x = alpha*U/N, strictly inside (0, beta).
 
-    With e from _decay, beta/(1 + exp(-x)), x = alpha*U/N, is beta/(1 + e) where U >= 0,
-    else e*beta/(1 + e): s = max(e, U >= 0), as 0 <= e <= 1, and d = 1 + e. U >= 0 and
-    x >= 0 differ only where x underflows to -0.0, and there e = 1, so s is the same.
+    With e from _decay, that is beta/(1 + e) where U >= 0, else e*beta/(1 + e): p =
+    max(e, U >= 0)*beta/(1 + e), as 0 <= e <= 1. U >= 0 and x >= 0 differ only where
+    x underflows to -0.0, and there e = 1, so p is the same. `out`, if given, receives p.
     """
     e = np.abs(utilities)
-    s = np.maximum(_decay(e, alpha, total_farmers, out=e), utilities >= 0, out=out)
-    return s, np.add(e, 1.0, out=e)
-
-
-def _capped(halves, beta, out=None):
-    """Beta half: beta*s/d clamped strictly inside (0, beta) even for extreme utilities."""
-    s, d = halves
-    p = np.multiply(s, beta, out=out)
-    p /= d
+    p = np.maximum(_decay(e, alpha, total_farmers, out=e), utilities >= 0, out=out)
+    p *= beta
+    p /= np.add(e, 1.0, out=e)
     return p.clip(_TINY, math.nextafter(beta, 0.0), out=p)
-
-
-def _probability_array(utilities, alpha, beta, total_farmers, out=None):
-    """Probability kernel; `out`, if given, receives the result."""
-    halves = _logistic(utilities, alpha, total_farmers, out=out)
-    return _capped(halves, beta, out=halves[0])
 
 
 def _curve(decay, nonneg, beta, total_farmers):
     """Deterministic hazard levels as a list, from lists of _decay's e and U >= 0.
 
-    p = (beta if U >= 0 else e*beta)/(1 + e), _capped's bits, clamped by comparisons
-    as np.clip clamps (a NaN passes through); then level += p * (N - level).
+    p = (beta if U >= 0 else e*beta)/(1 + e), _probability_array's bits, clamped by
+    comparisons as np.clip clamps (a NaN passes through); then level += p * (N - level).
     """
     lo, hi = _TINY, math.nextafter(beta, 0.0)
     levels, level = [], 0.0

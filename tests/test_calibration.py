@@ -6,8 +6,8 @@ import pytest
 
 from dairypv import calibration
 from dairypv.calibration import (
-    ALPHA_BOUNDS,
-    BETA_BOUNDS,
+    GRID_ALPHAS,
+    GRID_BETAS,
     GRID_POINTS_PER_AXIS,
     GRID_SIZE,
     CalibrationTarget,
@@ -104,21 +104,11 @@ class TestEvaluateLoss:
 
 def brute_force_grid_best(params, prices, subsidies, target):
     """Independent oracle: argmin over the same published grid."""
-    alphas = np.clip(
-        np.logspace(math.log10(ALPHA_BOUNDS[0]), math.log10(ALPHA_BOUNDS[1]),
-                    GRID_POINTS_PER_AXIS),
-        *ALPHA_BOUNDS,
-    )
-    betas = np.clip(
-        np.logspace(math.log10(BETA_BOUNDS[0]), math.log10(BETA_BOUNDS[1]),
-                    GRID_POINTS_PER_AXIS),
-        *BETA_BOUNDS,
-    )
     best = None
-    for a in alphas:
-        for b in betas:
-            loss = evaluate_loss((float(a), float(b)), params, prices, subsidies, target)
-            key = (loss, float(a), float(b))
+    for a in GRID_ALPHAS:
+        for b in GRID_BETAS:
+            loss = evaluate_loss((a, b), params, prices, subsidies, target)
+            key = (loss, a, b)
             if best is None or key < best:
                 best = key
     return best
@@ -241,11 +231,9 @@ def test_alpha_half_is_computed_once_per_scored_alpha(
     monkeypatch.setattr(_Objective, "loss", recording_loss)
     target = CalibrationTarget(observations=observations)
     calibrate(default_params, price_series, subsidy_series, target, budget=2000)
-    grid_alphas = np.clip(np.logspace(math.log10(ALPHA_BOUNDS[0]), math.log10(ALPHA_BOUNDS[1]),
-                                      GRID_POINTS_PER_AXIS), *ALPHA_BOUNDS).tolist()
     assert len(set(computed)) == len(computed)
-    assert set(computed) == set(grid_alphas) | set(polled)
-    # beta polls reuse an alpha, so fewer alpha halves are computed than points polled
+    assert set(computed) == set(GRID_ALPHAS) | set(polled)
+    # beta polls reuse an alpha, so fewer e lists are computed than points polled
     assert len(computed) < GRID_POINTS_PER_AXIS + len(polled)
 
 

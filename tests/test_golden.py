@@ -6,7 +6,8 @@ result to `render_result` directly, for outputs the CLI never prints: a
 calibration as CSV, a Monte Carlo summary as JSON, a one-replication
 summary (std exactly 0) and hand-built edge values (-0.0, the smallest
 subnormal, counts in e-notation). Stochastic cases pin the PCG64 draw
-stream, so they hold for one numpy build and CPU (see README). A case runs
+stream, so they hold for one numpy build; tests/test_dispatch.py reruns
+them on each of its SIMD dispatch paths (see README). A case runs
 on the bundled scenario unless it names a `--config`; multi_block_150k.yaml
 is the bundled scenario at 150,000 farmers, so its stochastic run spans
 several scoring pieces.

@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 from dairypv.calibration import (
     ALPHA_BOUNDS,
     BETA_BOUNDS,
-    GRID_POINTS_PER_AXIS,
+    GRID_ALPHAS,
+    GRID_BETAS,
     LOSS_KINDS,
     CalibrationTarget,
     _Objective,
@@ -23,9 +24,7 @@ from dairypv.io import load_default_scenario
 from dairypv.engine import (
     _TINY,
     _annuity,
-    _capped,
     _decay,
-    _logistic,
     _probability_array,
     _stochastic_years,
     _utility,
@@ -69,37 +68,25 @@ def two_branch_probability(utilities, alpha, beta, total_farmers):
 
 @SETTINGS
 @given(utility_arrays, alphas, betas, farmer_counts)
+@example(np.array([-1e-300, 1e-300]), 1e-30, 1.0, 1)  # alpha*U underflows to -0.0 at U < 0
+@example(np.array([-0.0, 0.0]), 1.0, 1.0, 1)
+@example(np.array([-1e300, 1e300]), 1e300, 1.0, 1)  # alpha*U overflows to -inf and +inf
 def test_kernel_matches_two_branch_formula_inside_open_interval(utilities, alpha, beta, n):
+    out = np.empty_like(utilities)
     with np.errstate(over="ignore"):
         expected = two_branch_probability(utilities, alpha, beta, n)
         p = _probability_array(utilities, alpha, beta, n)
-    assert p.tobytes() == expected.tobytes()
+        assert _probability_array(utilities, alpha, beta, n, out=out) is out
+    assert p.tobytes() == expected.tobytes() == out.tobytes()
     assert np.all(p > 0.0) and np.all(p < beta)
 
 
 @SETTINGS
-@given(utility_arrays, alphas, betas, farmer_counts)
-def test_kernel_halves_match_two_branch_formula_in_and_out_of_place(utilities, alpha, beta, n):
-    with np.errstate(over="ignore"):
-        expected = two_branch_probability(utilities, alpha, beta, n).tobytes()
-        halves = _logistic(utilities, alpha, n)
-        assert _capped(halves, beta).tobytes() == expected
-        assert _capped(halves, beta, out=halves[0]).tobytes() == expected
-
-
-@SETTINGS
 @given(utility_arrays, st.one_of(alphas, reals(*ALPHA_BOUNDS)), farmer_counts)
-@example(np.array([-1e-300, 1e-300]), 1e-30, 1)  # alpha*U underflows to -0.0 at the negative U
-@example(np.array([-0.0, 0.0]), 1.0, 1)
-@example(np.array([-1e300, 1e300]), 1e300, 1)  # alpha*U overflows to -inf and +inf
-def test_decay_and_alpha_half_equal_the_signed_formula(utilities, alpha, n):
+def test_decay_equals_the_signed_formula(utilities, alpha, n):
     with np.errstate(over="ignore"):
-        x = alpha * utilities / n
-        e = np.exp(-np.abs(x))
+        e = np.exp(-np.abs(alpha * utilities / n))
         assert _decay(np.abs(utilities), alpha, n).tobytes() == e.tobytes()
-        s, d = _logistic(utilities, alpha, n)
-    assert s.tobytes() == np.maximum(e, x >= 0).tobytes()
-    assert d.tobytes() == (e + 1.0).tobytes()
 
 
 @SETTINGS
@@ -238,18 +225,12 @@ def test_grid_losses_equal_scalar_losses(drawn, cost):
     n, target = drawn
     params, prices, subsidies, _ = load_default_scenario()
     params = replace(params, total_farmers=n, pv_cost_min=cost, pv_cost_max=cost)
-    alphas = np.clip(np.logspace(math.log10(ALPHA_BOUNDS[0]), math.log10(ALPHA_BOUNDS[1]),
-                                 GRID_POINTS_PER_AXIS), *ALPHA_BOUNDS)
-    betas = np.clip(np.logspace(math.log10(BETA_BOUNDS[0]), math.log10(BETA_BOUNDS[1]),
-                                GRID_POINTS_PER_AXIS), *BETA_BOUNDS)
-    grid = _Objective(params, prices, subsidies, target, budget=1).grid(alphas, betas)
-    array_losses = np.array([loss for loss, _, _ in grid]).reshape(len(alphas), len(betas))
-    # a fresh objective: its alpha halves come from one-alpha kernel calls, not grid rows
+    grid = _Objective(params, prices, subsidies, target, budget=1).grid()
+    # a fresh objective: its e lists come from one-alpha _decay calls, not grid rows
     scalar = _Objective(params, prices, subsidies, target, budget=1)
-    scalar_losses = np.array([[scalar.loss(float(a), float(b)) for b in betas]
-                              for a in alphas])
-    assert np.array_equal(array_losses, scalar_losses)
-    assert [(a, b) for _, a, b in grid] == [(float(a), float(b)) for a in alphas for b in betas]
+    scalar_losses = [scalar.loss(a, b) for a in GRID_ALPHAS for b in GRID_BETAS]
+    assert np.array_equal([loss for loss, _, _ in grid], scalar_losses)
+    assert [(a, b) for _, a, b in grid] == [(a, b) for a in GRID_ALPHAS for b in GRID_BETAS]
 
 
 @st.composite
