@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import require_finite, require_integer
-from .engine import _curve, _decay, representative_utilities
+from .engine import _curve, _decay, _yearly_inputs, representative_utilities
 from .errors import CalibrationFailedError, ValidationError
 
 ALPHA_BOUNDS = (1e-3, 100.0)
@@ -113,7 +113,8 @@ class _Objective:
         self._observed = [(year - params.start_year, value)
                           for year, value in target.observations]
         last = max(index for index, _ in self._observed)
-        utilities = representative_utilities(params, prices, subsidies)[:last + 1]
+        utilities = representative_utilities(
+            params, *_yearly_inputs(params, prices, subsidies))[:last + 1]
         self._magnitudes, self._nonneg = np.abs(utilities), (utilities >= 0).tolist()
         self._total = float(params.total_farmers)  # float - float is Python's fast path
         self._squared = target.loss == "squared_error"

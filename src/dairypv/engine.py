@@ -49,7 +49,7 @@ def _annuity(params):
     factor = 1.0 + params.discount_rate
     denominator, total = 1.0, 0.0
     for _ in range(params.horizon_years + 1):
-        total += 1.0 / denominator
+        total += 1.0 / denominator if denominator else math.inf  # inf once the power underflows
         denominator *= factor
     return total
 
@@ -124,19 +124,32 @@ def check_series_coverage(series, name, params):
 
 
 def _yearly_inputs(params, prices, subsidies):
-    """Coverage-checked price and subsidy arrays for start_year..end_year."""
+    """A run's one input step: (annuity, price array, subsidy array), start_year..end_year.
+
+    Checks coverage, and U at both ends of the cost range: U is affine in cost, so it is
+    finite for every farmer if it is finite there.
+    """
     check_series_coverage(prices, "price", params)
     check_series_coverage(subsidies, "subsidy", params)
     years = range(params.start_year, params.end_year + 1)
-    return (np.array([prices.value_for(y) for y in years]),
-            np.array([subsidies.value_for(y) for y in years]))
+    annuity = _annuity(params)
+    energy_prices = np.array([prices.value_for(y) for y in years])
+    yearly_subsidies = np.array([subsidies.value_for(y) for y in years])
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(_utility(params, annuity, energy_prices, np.array(
+            [[params.pv_cost_min], [params.pv_cost_max]]), yearly_subsidies)).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first year whose utility is not finite
+        raise ValidationError(
+            f"utility in {years[i]} is not finite (annuity {annuity!r}); it depends on "
+            "discount_rate, horizon_years, annual_generation_kwh, maintenance_rate, "
+            "pv_cost_min, pv_cost_max and the year's energy price and subsidy")
+    return annuity, energy_prices, yearly_subsidies
 
 
-def representative_utilities(params, prices, subsidies):
+def representative_utilities(params, annuity, energy_prices, yearly_subsidies):
     """Yearly utility of the midpoint-cost farmer that deterministic mode follows."""
-    energy_prices, yearly_subsidies = _yearly_inputs(params, prices, subsidies)
-    return _utility(params, _annuity(params), energy_prices, params.midpoint_cost,
-                    yearly_subsidies)
+    return _utility(params, annuity, energy_prices, params.midpoint_cost, yearly_subsidies)
 
 
 def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
@@ -210,15 +223,16 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
 def run_simulation(params, prices, subsidies):
     """Run the full multi-year simulation; one YearRecord per year.
 
-    Both series must cover [start_year, end_year]; coverage is checked
-    before the first year so failures never produce partial results.
+    Inputs are checked (series coverage, finite utilities) before the first
+    year, so failures never produce partial results.
     Semantics switches apply to deterministic mode only: hazard semantics
     draw new adopters from the not-yet-adopted pool; literal semantics
     recompute the cumulative level as p * N each year (new adopters
     reported as the non-negative difference).
     """
+    inputs = _yearly_inputs(params, prices, subsidies)
     if params.mode == "deterministic":
-        utilities = representative_utilities(params, prices, subsidies)
+        utilities = representative_utilities(params, *inputs)
         n = float(params.total_farmers)
         probabilities = _probability_array(utilities, params.alpha, params.beta, n).tolist()
         if params.adoption_semantics == "hazard":
@@ -230,21 +244,10 @@ def run_simulation(params, prices, subsidies):
             new = [max(0.0, level - prior) for level, prior in zip(levels, [0.0, *levels])]
         columns = (utilities.tolist(), probabilities, new, levels)
     else:
-        columns = zip(*_stochastic_run(params, _annuity(params),
-                                       *_yearly_inputs(params, prices, subsidies)))
+        columns = zip(*_stochastic_run(params, *inputs))
     years = range(params.start_year, params.end_year + 1)
-    records = tuple(
-        YearRecord(
-            year=year,
-            energy_price=prices.value_for(year),
-            subsidy=subsidies.value_for(year),
-            economic_utility=utility,
-            probability=probability,
-            new_adopters=new,
-            cumulative_adopters=cumulative,
-        )
-        for year, utility, probability, new, cumulative in zip(years, *columns)
-    )
+    # YearRecord's fields in order: year, energy price, subsidy, then the four columns
+    records = tuple(map(YearRecord, years, *(a.tolist() for a in inputs[1:]), *columns))
     return SimulationResult(params_digest=params.digest, records=records)
 
 
@@ -287,10 +290,11 @@ class MonteCarloSummary:
 def run_monte_carlo(params, prices, subsidies, replications, base_seed):
     """Replicate the stochastic simulation and aggregate per-year statistics.
 
-    Replication r runs with seed (base_seed + r) mod 2**64. Statistics are
-    reduced from a replication-by-year matrix in index order, so the result
-    does not depend on any execution schedule. std is the population
-    standard deviation (zero for a single replication).
+    Replication r runs with seed (base_seed + r) mod 2**64 and fills column r
+    of a year-by-replication matrix. Each year's statistics are reduced over
+    its contiguous row in replication order, so the result does not depend
+    on any execution schedule. std is the population standard deviation
+    (zero for a single replication).
     """
     replications = require_integer("replications", replications)
     base_seed = require_integer("base_seed", base_seed)
@@ -300,22 +304,12 @@ def run_monte_carlo(params, prices, subsidies, replications, base_seed):
         raise ValidationError(f"run_monte_carlo requires mode 'stochastic', got {params.mode!r}")
     if not 0 <= base_seed <= 2**64 - 1:
         raise ValidationError(f"base_seed must fit in an unsigned 64-bit integer, got {base_seed}")
-    inputs = (params, _annuity(params), *_yearly_inputs(params, prices, subsidies))
+    inputs = _yearly_inputs(params, prices, subsidies)
 
-    curves = np.empty((replications, params.n_years), dtype=float)
-    for r in range(replications):
-        seed = (base_seed + r) % 2**64
-        curves[r, :] = list(_stochastic_years(*inputs, seed))
+    # one column per replication; C order keeps each year's row contiguous
+    curves = np.column_stack([list(_stochastic_years(params, *inputs, (base_seed + r) % 2**64))
+                              for r in range(replications)])
 
-    years = range(params.start_year, params.end_year + 1)
-    rows = tuple(
-        YearStats(
-            year=year,
-            mean=float(np.mean(curves[:, i])),
-            std=float(np.std(curves[:, i])),
-            min=float(np.min(curves[:, i])),
-            max=float(np.max(curves[:, i])),
-        )
-        for i, year in enumerate(years)
-    )
+    stats = (reduce(curves, axis=1).tolist() for reduce in (np.mean, np.std, np.min, np.max))
+    rows = tuple(map(YearStats, range(params.start_year, params.end_year + 1), *stats))
     return MonteCarloSummary(replications=replications, base_seed=base_seed, rows=rows)

@@ -51,24 +51,18 @@ def _parse_rows(stream, value_column, require_contiguous):
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
-        raise MissingHeaderError(
-            f"empty input: expected header 'year,{value_column}'"
-        )
+        raise MissingHeaderError(f"empty input: expected header 'year,{value_column}'")
     header = [cell.strip() for cell in header]
     if header != ["year", value_column]:
         raise MissingHeaderError(
-            f"expected header 'year,{value_column}', got '{','.join(header)}'"
-        )
+            f"expected header 'year,{value_column}', got '{','.join(header)}'")
 
-    pairs = []
-    prev_year = None
+    pairs, prev_year = [], None
     for line, row in enumerate(reader, start=2):
         if not row:
-            continue  # ignore trailing blank lines
+            continue  # skip every empty row; line numbers still count it
         if len(row) != 2:
-            raise BadValueError(
-                f"line {line}: expected 2 columns, got {len(row)}", line=line
-            )
+            raise BadValueError(f"line {line}: expected 2 columns, got {len(row)}", line=line)
         year_text, value_text = row[0].strip(), row[1].strip()
         try:
             year = int(year_text)
@@ -84,18 +78,14 @@ def _parse_rows(stream, value_column, require_contiguous):
             ) from None
         if not math.isfinite(value):
             raise BadValueError(
-                f"line {line}: {value_column} {value_text!r} is not finite", line=line
-            )
+                f"line {line}: {value_column} {value_text!r} is not finite", line=line)
         if prev_year is not None:
             if year == prev_year:
                 raise DuplicateYearError(
-                    f"line {line}: duplicate year {year}", year=year, line=line
-                )
+                    f"line {line}: duplicate year {year}", year=year, line=line)
             if year < prev_year:
                 raise YearGapError(
-                    f"line {line}: years must increase, got {year} after {prev_year}",
-                    line=line,
-                )
+                    f"line {line}: years must increase, got {year} after {prev_year}", line=line)
             if require_contiguous and year > prev_year + 1:
                 missing = list(range(prev_year + 1, year))
                 raise YearGapError(

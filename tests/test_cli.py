@@ -81,6 +81,27 @@ class TestRunCommand:
         assert code == 1
         assert f"error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, text, message", [
+        (None, "- 1\n- 2\n", "scenario file must be a flat key/value mapping"),
+        (None, "5\n", "scenario file must be a flat key/value mapping"),
+        ({"price_series": 5}, None, "key 'price_series' must be a string, got 5"),
+    ], ids=["list", "scalar", "int_series_path"])
+    def test_scenario_of_wrong_shape_exits_1_naming_file(self, tmp_path, capsys, config, text,
+                                                         message):
+        path = write_scenario(tmp_path, config=config)
+        if text is not None:
+            path.write_text(text)
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_unexpected_error_exits_2(self, default_config, monkeypatch, capsys):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("dairypv.cli.run_simulation", boom)
+        assert cli_main(["run", "--config", default_config]) == 2
+        assert capsys.readouterr().err == "error: boom\n"
+
     def test_stochastic_without_seed_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         code = cli_main(["run", "--config", str(path), "--mode", "stochastic"])
@@ -151,6 +172,28 @@ def test_kernel_overflow_prints_nothing_on_stderr(tmp_path, argv):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert len(proc.stdout.splitlines()) == 4  # header + 3 years
+
+
+@pytest.mark.parametrize("horizon, annuity", [(153, "1.0101010101008717e+306"), (200, "inf")],
+                         ids=["153", "200"])
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--mode", "stochastic", "--seed", "3"],
+    ["monte-carlo", "--replications", "2", "--seed", "3"],
+    ["calibrate", "--target", str(default_scenario_path().parent / "target_2022.csv")],
+], ids=["run", "stochastic", "monte-carlo", "calibrate"])
+def test_utilities_past_the_float_range_exit_1_before_any_work(tmp_path, argv, horizon,
+                                                               annuity):
+    # (1 + rate)^t underflows: at horizon 153 gen*price*A - (1 + m*A)*c is inf - inf,
+    # and at horizon 200 the annuity A itself is inf
+    config = bundled_config_copy(tmp_path, discount_rate=-0.99, horizon_years=horizon)
+    proc = run_cli(*argv, "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: utility in 2005 is not finite (annuity {annuity}); it depends on "
+        "discount_rate, horizon_years, annual_generation_kwh, maintenance_rate, "
+        "pv_cost_min, pv_cost_max and the year's energy price and subsidy\n")
 
 
 def bundled_config_copy(tmp_path, **overrides):

@@ -86,6 +86,13 @@ class TestParseYearSeries:
         with pytest.raises(BadValueError, match="columns"):
             parse("year,price_eur_per_kwh\n2005,0.14,extra\n")
 
+    def test_empty_lines_are_skipped_but_counted(self):
+        series = parse("year,price_eur_per_kwh\n2005,0.14\n\n2006,0.15\n\n\n")
+        assert dict(series.items()) == {2005: 0.14, 2006: 0.15}
+        with pytest.raises(BadValueError, match="line 5: ") as excinfo:
+            parse("year,price_eur_per_kwh\n\n2005,0.14\n\n2006,abc\n\n")
+        assert excinfo.value.line == 5
+
     def test_header_only(self):
         with pytest.raises(BadValueError, match="no data rows"):
             parse("year,price_eur_per_kwh\n")
@@ -360,6 +367,10 @@ class TestRenderResult:
         assert len(text.splitlines()) == 19
         payload = json.loads(render_result(summary, "json"))
         assert payload["replications"] == 3 and payload["base_seed"] == 4
+
+    def test_unsupported_result_type_rejected(self):
+        with pytest.raises(ValidationError, match="unsupported result type: object"):
+            render_result(object())
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError, match="format"):

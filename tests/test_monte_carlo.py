@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dairypv.domain import ScenarioParams
-from dairypv.engine import run_monte_carlo, run_simulation
+from dairypv.engine import _stochastic_years, _yearly_inputs, run_monte_carlo, run_simulation
 from dairypv.errors import ValidationError
 
 
@@ -74,6 +74,27 @@ def test_replications_must_be_positive(price_series, subsidy_series):
     with pytest.raises(ValidationError, match="replications"):
         run_monte_carlo(make_params(), price_series, subsidy_series,
                         replications=0, base_seed=1)
+
+
+@pytest.mark.parametrize("replications", [1, 9, 130])
+def test_statistics_equal_numpy_over_each_years_values_bit_for_bit(price_series, subsidy_series,
+                                                                  replications):
+    # each year's values reduced as one contiguous list, in replication order
+    params = make_params(total_farmers=2000, alpha=0.5, beta=0.2)
+    summary = run_monte_carlo(params, price_series, subsidy_series, replications, base_seed=7)
+    inputs = _yearly_inputs(params, price_series, subsidy_series)
+    curves = [list(_stochastic_years(params, *inputs, 7 + r)) for r in range(replications)]
+    for row, values in zip(summary.rows, map(list, zip(*curves))):
+        expected = (np.mean(values), np.std(values), min(values), max(values))
+        assert [v.hex() for v in (row.mean, row.std, row.min, row.max)] == [
+            float(v).hex() for v in expected]
+
+
+@pytest.mark.parametrize("base_seed", [-1, 2**64])
+def test_base_seed_must_fit_in_uint64(price_series, subsidy_series, base_seed):
+    with pytest.raises(ValidationError, match=f"base_seed .* got {base_seed}"):
+        run_monte_carlo(make_params(), price_series, subsidy_series,
+                        replications=1, base_seed=base_seed)
 
 
 @pytest.mark.parametrize("name, value", [

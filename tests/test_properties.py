@@ -28,6 +28,7 @@ from dairypv.engine import (
     _probability_array,
     _stochastic_years,
     _utility,
+    _yearly_inputs,
     representative_utilities,
     run_simulation,
 )
@@ -265,8 +266,9 @@ def test_run_records_equal_numpy_kernel_curve(case, alpha, beta):
             adoption_semantics=semantics)
         records = run_simulation(params, prices, subsidies).records
         with np.errstate(over="ignore"):
-            expected = deterministic_curve(representative_utilities(params, prices, subsidies),
-                                           alpha, beta, n, semantics)
+            inputs = _yearly_inputs(params, prices, subsidies)
+            utilities = representative_utilities(params, *inputs)
+            expected = deterministic_curve(utilities, alpha, beta, n, semantics)
         got = [[r.probability for r in records], [r.new_adopters for r in records],
                [r.cumulative_adopters for r in records]]
         assert [[v.hex() for v in column] for column in got] == [
@@ -280,7 +282,7 @@ def test_run_records_equal_numpy_kernel_curve(case, alpha, beta):
 def test_scalar_loss_equals_engine_curve_loss(case, alpha, beta):
     yearly_subsidies, n, observed = case
     params, prices, subsidies = bundled_with_subsidies(yearly_subsidies, total_farmers=n)
-    utilities = representative_utilities(params, prices, subsidies)
+    utilities = representative_utilities(params, *_yearly_inputs(params, prices, subsidies))
     _, _, cumulative = deterministic_curve(utilities, alpha, beta, n, "hazard")
     for kind in LOSS_KINDS:
         target = CalibrationTarget(
