@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import require_finite, require_integer
-from .engine import _curve, _decay, _yearly_inputs, representative_utilities
+from .engine import _TINY, _curve, _decay, _yearly_inputs, representative_utilities
 from .errors import CalibrationFailedError, ValidationError
 
-ALPHA_BOUNDS = (1e-3, 100.0)
-BETA_BOUNDS = (1e-5, 1.0)
+ALPHA_BOUNDS = (_ALPHA_LO, _ALPHA_HI) = (1e-3, 100.0)
+BETA_BOUNDS = (_BETA_LO, _BETA_HI) = (1e-5, 1.0)
 GRID_POINTS_PER_AXIS = 20
 GRID_SIZE = GRID_POINTS_PER_AXIS**2
 # Pattern search stops once its log10 step drops below this (relative
@@ -37,14 +37,15 @@ def _clamp(value, lo, hi):
     return lo if value < lo else hi if value > hi else value
 
 
-_LOG_ALPHA = (math.log10(ALPHA_BOUNDS[0]), math.log10(ALPHA_BOUNDS[1]))
-_LOG_BETA = (math.log10(BETA_BOUNDS[0]), math.log10(BETA_BOUNDS[1]))
+_LOG_ALPHA = (math.log10(_ALPHA_LO), math.log10(_ALPHA_HI))
+_LOG_BETA = (math.log10(_BETA_LO), math.log10(_BETA_HI))
 # The grid axes, made from evenly spaced log10 coordinates as a poll makes its point,
 # and pattern search's first step: the wider log10 grid spacing.
 GRID_ALPHAS, GRID_BETAS = (
     [_clamp(10.0**x, *bounds)
      for x in np.linspace(*log_bounds, GRID_POINTS_PER_AXIS).tolist()]
     for log_bounds, bounds in ((_LOG_ALPHA, ALPHA_BOUNDS), (_LOG_BETA, BETA_BOUNDS)))
+_GRID_POINTS = [(alpha, beta) for alpha in GRID_ALPHAS for beta in GRID_BETAS]
 _INITIAL_STEP = max(b - a for a, b in (_LOG_ALPHA, _LOG_BETA)) / (GRID_POINTS_PER_AXIS - 1)
 
 
@@ -128,13 +129,14 @@ class _Objective:
         return self.evaluations >= self.budget
 
     def loss(self, alpha, beta):
-        if alpha not in self._decays:
-            self._decays[alpha] = _decay(self._magnitudes, alpha, self._total).tolist()
-        return self._score(self._decays[alpha], beta)
+        """Loss at one point, from engine._curve's levels."""
+        decay = self._decays.get(alpha)
+        if decay is None:
+            decay = self._decays[alpha] = _decay(self._magnitudes, alpha, self._total).tolist()
+        return self._loss_of(_curve(decay, self._nonneg, beta, self._total))
 
-    def _score(self, decay, beta):
-        """Loss from one alpha's e: engine._curve's levels against the observations."""
-        levels = _curve(decay, self._nonneg, beta, self._total)
+    def _loss_of(self, levels):
+        """Sum of each observation's error, in target order; levels are floats or arrays."""
         loss = 0.0
         for index, observed in self._observed:
             diff = levels[index] - observed
@@ -142,22 +144,31 @@ class _Objective:
         return loss
 
     def grid(self):
-        """(loss, alpha, beta) of every grid cell, alpha-major; all alphas' e in one array pass."""
-        decays = _decay(self._magnitudes, np.array(GRID_ALPHAS)[:, None], self._total).tolist()
-        self._decays.update(zip(GRID_ALPHAS, decays))
-        cells = [(self._score(e, beta), alpha, beta)
-                 for alpha, e in zip(GRID_ALPHAS, decays) for beta in GRID_BETAS]
-        self.evaluations += len(cells)
-        self._scored.update(((alpha, beta), loss) for loss, alpha, beta in cells)
-        return cells
+        """(loss, alpha, beta) per grid cell, alpha-major, from (year, alpha, beta) arrays:
+        engine._curve's IEEE operations in its order, so each loss has a poll's bits."""
+        decays = _decay(self._magnitudes, np.array(GRID_ALPHAS)[:, None], self._total)
+        self._decays.update(zip(GRID_ALPHAS, decays.tolist()))
+        e = decays.T[:, :, None]  # by (year, alpha, 1)
+        p = e * np.array(GRID_BETAS)
+        p[self._nonneg] = GRID_BETAS  # beta, not e*beta, where U >= 0
+        p /= 1.0 + e
+        level, levels = 0.0, []
+        for p_t in p.clip(_TINY, [math.nextafter(beta, 0.0) for beta in GRID_BETAS], out=p):
+            level = level + p_t * (self._total - level)
+            levels.append(level)
+        losses = self._loss_of(levels).ravel().tolist()
+        self.evaluations += GRID_SIZE
+        self._scored.update(zip(_GRID_POINTS, losses))
+        return [(loss, alpha, beta) for loss, (alpha, beta) in zip(losses, _GRID_POINTS)]
 
     def __call__(self, log_alpha, log_beta):
-        alpha = _clamp(10.0**log_alpha, *ALPHA_BOUNDS)
-        beta = _clamp(10.0**log_beta, *BETA_BOUNDS)
+        alpha = _clamp(10.0**log_alpha, _ALPHA_LO, _ALPHA_HI)
+        beta = _clamp(10.0**log_beta, _BETA_LO, _BETA_HI)
         self.evaluations += 1
-        loss = self._scored.get((alpha, beta))
+        key = alpha, beta
+        loss = self._scored.get(key)
         if loss is None:
-            loss = self._scored[alpha, beta] = self.loss(alpha, beta)
+            loss = self._scored[key] = self.loss(alpha, beta)
         return loss, alpha, beta
 
 
@@ -167,17 +178,17 @@ def _explore(objective, point, value, step):
     A loss is >= 0, +inf or NaN, and neither inf nor NaN compares lower than
     anything: a sweep never moves to a non-finite poll, nor from a NaN value.
     """
-    for axis, bounds in enumerate((_LOG_ALPHA, _LOG_BETA)):
+    for axis, (lo, hi) in enumerate((_LOG_ALPHA, _LOG_BETA)):
         for direction in (step, -step):
             if objective.exhausted:
                 return point, value
-            trial = list(point)
-            trial[axis] = _clamp(point[axis] + direction, *bounds)
-            if trial[axis] == point[axis]:
+            moved = _clamp(point[axis] + direction, lo, hi)
+            if moved == point[axis]:
                 continue
+            trial = (moved, point[1]) if axis == 0 else (point[0], moved)
             result = objective(*trial)
             if result[0] < value[0]:
-                point, value = tuple(trial), result
+                point, value = trial, result
                 break
     return point, value
 

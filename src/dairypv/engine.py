@@ -207,7 +207,8 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
         stayed += len(left)
         return np.array((np.add.reduce(u), np.add.reduce(p)))
 
-    for energy_price, subsidy in zip(energy_prices, yearly_subsidies):
+    years = range(params.start_year, params.end_year + 1)
+    for year, energy_price, subsidy in zip(years, energy_prices, yearly_subsidies):
         if not remaining:  # all adopted: the representative farmer keeps records finite
             u = _utility(params, annuity, energy_price, np.array([params.midpoint_cost]), subsidy)
             p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
@@ -215,6 +216,9 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
             continue
         stayed = 0
         mean_u, mean_p = _pairwise(0, remaining, score) / remaining
+        if not math.isfinite(mean_u):  # each U is finite (_yearly_inputs), not their sum
+            raise ValidationError(f"mean utility in {year} is not finite: the sum of the "
+                                  "remaining farmers' utilities left float range")
         yield float(mean_u), float(mean_p), float(remaining - stayed), float(len(costs) - stayed)
         remaining = stayed
 

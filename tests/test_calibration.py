@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -198,13 +199,19 @@ OBSERVATIONS = [
 def test_no_point_is_scored_twice(default_params, price_series, subsidy_series, monkeypatch,
                                   observations):
     scored = []
-    score = _Objective._score
+    grid, loss = _Objective.grid, _Objective.loss
 
-    def recording_score(self, decay, beta):
-        scored.append((next(a for a, e in self._decays.items() if e is decay), beta))
-        return score(self, decay, beta)
+    def recording_grid(self):
+        cells = grid(self)
+        scored.extend((alpha, beta) for _, alpha, beta in cells)
+        return cells
 
-    monkeypatch.setattr(_Objective, "_score", recording_score)
+    def recording_loss(self, alpha, beta):
+        scored.append((alpha, beta))
+        return loss(self, alpha, beta)
+
+    monkeypatch.setattr(_Objective, "grid", recording_grid)
+    monkeypatch.setattr(_Objective, "loss", recording_loss)
     target = CalibrationTarget(observations=observations)
     result = calibrate(default_params, price_series, subsidy_series, target, budget=2000)
     assert result.evaluations == 2000
@@ -236,6 +243,35 @@ def test_alpha_half_is_computed_once_per_scored_alpha(
     # beta polls reuse an alpha, so fewer e lists are computed than points polled
     assert len(computed) < GRID_POINTS_PER_AXIS + len(polled)
 
+
+# sha256 of every poll's (alpha.hex(), beta.hex(), loss.hex()), in call order, at budget
+# 2000: the bundled target (squared error), then each of OBSERVATIONS under absolute error.
+SEARCH_PATHS = [
+    (None, "95eda169b331176f22e8f241a851e89b8ba647285e9bf52c9c196a26dc64390d"),
+    (OBSERVATIONS[0], "d5706e3b523ce447d4bb61939dfe6d69b5613f4d87178a13b03ff5675da52947"),
+    (OBSERVATIONS[1], "451cd13d5f6b1eba6f0e2442c55d8067f12db94c168e8fc79cd6f7b3b2319f8a"),
+    (OBSERVATIONS[2], "c7488bcc2f5accb756fe81593323b1c12a6cc964fbe7072cacc3239c04162007"),
+]
+
+
+@pytest.mark.parametrize("observations, expected", SEARCH_PATHS,
+                         ids=["bundled", "absolute-1", "absolute-2", "absolute-3"])
+def test_search_path_is_pinned(default_bundle, monkeypatch, observations, expected):
+    target = (default_bundle.target if observations is None else
+              CalibrationTarget(observations=observations, loss="absolute_error"))
+    digest = hashlib.sha256()
+    call = _Objective.__call__
+
+    def recording_call(self, log_alpha, log_beta):
+        value = call(self, log_alpha, log_beta)
+        loss, alpha, beta = value
+        digest.update(f"{alpha.hex()} {beta.hex()} {loss.hex()}\n".encode())
+        return value
+
+    monkeypatch.setattr(_Objective, "__call__", recording_call)
+    params, prices, subsidies, _ = default_bundle
+    calibrate(params, prices, subsidies, target, budget=2000)
+    assert digest.hexdigest() == expected
 
 
 class StubObjective:

@@ -196,6 +196,16 @@ def test_utilities_past_the_float_range_exit_1_before_any_work(tmp_path, argv, h
         "pv_cost_min, pv_cost_max and the year's energy price and subsidy\n")
 
 
+def test_stochastic_mean_past_the_float_range_exits_1_naming_the_year(tmp_path):
+    # at horizon 152 every farmer's U is finite (about 6.5e306), but their sum is not
+    config = bundled_config_copy(tmp_path, discount_rate=-0.99, horizon_years=152)
+    proc = run_cli("run", "--mode", "stochastic", "--seed", "3", "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: mean utility in 2005 is not finite: the sum of the "
+                           "remaining farmers' utilities left float range\n")
+
+
 def bundled_config_copy(tmp_path, **overrides):
     """The bundled scenario with absolute series paths and overrides, as a file."""
     data = yaml.safe_load(default_scenario_path().read_text())

@@ -45,6 +45,8 @@ CASES = {
                                        "--mode", "stochastic", "--seed", "11"],
     "monte_carlo_r8_seed5.csv": ["monte-carlo", "--replications", "8", "--seed", "5"],
     "calibrate_target_2022.json": ["calibrate", "--target", str(DATA / "target_2022.csv")],
+    "calibrate_target_2022_grid.json": ["calibrate", "--target", str(DATA / "target_2022.csv"),
+                                        "--budget", "400"],
 }
 
 
