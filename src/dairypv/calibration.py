@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import require_finite, require_integer
-from .engine import _TINY, _curve, _decay, _yearly_inputs, representative_utilities
+from .engine import (_TINY, _decay, _hazard, _probability_array, _yearly_inputs,
+                     representative_utilities)
 from .errors import CalibrationFailedError, ValidationError
 
 ALPHA_BOUNDS = (_ALPHA_LO, _ALPHA_HI) = (1e-3, 100.0)
@@ -104,9 +105,9 @@ class CalibrationResult:
 class _Objective:
     """Budget-counting loss in log10 coordinates.
 
-    The midpoint-cost utilities U do not depend on (alpha, beta), so |U| and U >= 0
+    The midpoint-cost utilities U do not depend on (alpha, beta), so U, |U| and U >= 0
     are kept from one pass up to the last observed year, and engine._decay's e as a
-    list per alpha: a beta poll reruns only engine._curve. A point scored before
+    list per alpha: a beta poll reruns only loss's scalar curve. A point scored before
     (Hooke-Jeeves re-polls some) is looked up, but still counts toward the budget.
     """
 
@@ -114,7 +115,7 @@ class _Objective:
         self._observed = [(year - params.start_year, value)
                           for year, value in target.observations]
         last = max(index for index, _ in self._observed)
-        utilities = representative_utilities(
+        self._utilities = utilities = representative_utilities(
             params, *_yearly_inputs(params, prices, subsidies))[:last + 1]
         self._magnitudes, self._nonneg = np.abs(utilities), (utilities >= 0).tolist()
         self._total = float(params.total_farmers)  # float - float is Python's fast path
@@ -129,11 +130,19 @@ class _Objective:
         return self.evaluations >= self.budget
 
     def loss(self, alpha, beta):
-        """Loss at one point, from engine._curve's levels."""
+        """Loss at one point: engine._probability_array and _hazard in scalars, with their
+        bits (a NaN p passes the clamp, as in np.clip); on <= 18 values a loop beats numpy."""
         decay = self._decays.get(alpha)
         if decay is None:
             decay = self._decays[alpha] = _decay(self._magnitudes, alpha, self._total).tolist()
-        return self._loss_of(_curve(decay, self._nonneg, beta, self._total))
+        lo, hi, total = _TINY, math.nextafter(beta, 0.0), self._total
+        level, levels = 0.0, []
+        for e, nonneg in zip(decay, self._nonneg):
+            p = (beta if nonneg else e * beta) / (1.0 + e)
+            p = lo if p < lo else hi if p > hi else p
+            level += p * (total - level)
+            levels.append(level)
+        return self._loss_of(levels)
 
     def _loss_of(self, levels):
         """Sum of each observation's error, in target order; levels are floats or arrays."""
@@ -144,18 +153,13 @@ class _Objective:
         return loss
 
     def grid(self):
-        """(loss, alpha, beta) per grid cell, alpha-major, from (year, alpha, beta) arrays:
-        engine._curve's IEEE operations in its order, so each loss has a poll's bits."""
-        decays = _decay(self._magnitudes, np.array(GRID_ALPHAS)[:, None], self._total)
-        self._decays.update(zip(GRID_ALPHAS, decays.tolist()))
-        e = decays.T[:, :, None]  # by (year, alpha, 1)
-        p = e * np.array(GRID_BETAS)
-        p[self._nonneg] = GRID_BETAS  # beta, not e*beta, where U >= 0
-        p /= 1.0 + e
-        level, levels = 0.0, []
-        for p_t in p.clip(_TINY, [math.nextafter(beta, 0.0) for beta in GRID_BETAS], out=p):
-            level = level + p_t * (self._total - level)
-            levels.append(level)
+        """(loss, alpha, beta) per grid cell, alpha-major, from engine._probability_array
+        and _hazard on (year, alpha, beta) arrays; each grid alpha's e list is kept for polls."""
+        alphas, total = np.array(GRID_ALPHAS)[:, None], self._total
+        self._decays.update(zip(GRID_ALPHAS, _decay(self._magnitudes, alphas, total).tolist()))
+        shape = (len(self._utilities), GRID_POINTS_PER_AXIS, GRID_POINTS_PER_AXIS)
+        utilities = np.broadcast_to(self._utilities[:, None, None], shape)
+        levels = _hazard(_probability_array(utilities, alphas, np.array(GRID_BETAS), total), total)
         losses = self._loss_of(levels).ravel().tolist()
         self.evaluations += GRID_SIZE
         self._scored.update(zip(_GRID_POINTS, losses))

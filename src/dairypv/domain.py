@@ -125,6 +125,7 @@ class ScenarioParams:
             raise ValidationError(f"discount_rate must be > -1, got {self.discount_rate}")
         if self.total_farmers < 1:
             raise ValidationError(f"total_farmers must be >= 1, got {self.total_farmers}")
+        require_finite("total_farmers", self.total_farmers)  # runs take it as a float
         for name in ("start_year", "end_year"):
             if not MINYEAR <= getattr(self, name) <= MAXYEAR:
                 raise ValidationError(

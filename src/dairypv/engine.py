@@ -84,29 +84,21 @@ def _probability_array(utilities, alpha, beta, total_farmers, out=None):
     With e from _decay, that is beta/(1 + e) where U >= 0, else e*beta/(1 + e): p =
     max(e, U >= 0)*beta/(1 + e), as 0 <= e <= 1. U >= 0 and x >= 0 differ only where
     x underflows to -0.0, and there e = 1, so p is the same. `out`, if given, receives p.
+    alpha and beta may be arrays that broadcast to U's shape: the steps run in place.
     """
     e = np.abs(utilities)
     p = np.maximum(_decay(e, alpha, total_farmers, out=e), utilities >= 0, out=out)
     p *= beta
     p /= np.add(e, 1.0, out=e)
-    return p.clip(_TINY, math.nextafter(beta, 0.0), out=p)
+    return p.clip(_TINY, np.nextafter(beta, 0.0), out=p)
 
 
-def _curve(decay, nonneg, beta, total_farmers):
-    """Deterministic hazard levels as a list, from lists of _decay's e and U >= 0.
-
-    p = (beta if U >= 0 else e*beta)/(1 + e), _probability_array's bits, clamped by
-    comparisons as np.clip clamps (a NaN passes through); then level += p * (N - level).
-    """
-    lo, hi = _TINY, math.nextafter(beta, 0.0)
-    levels, level = [], 0.0
-    for e_t, nonneg_t in zip(decay, nonneg):
-        p = (beta if nonneg_t else e_t * beta) / (1.0 + e_t)
-        if p < lo:
-            p = lo
-        elif p > hi:
-            p = hi
-        level += p * (total_farmers - level)
+def _hazard(probabilities, total_farmers):
+    """Hazard levels level += p * (N - level) as a list; each p a float or an array
+    (one level per cell), and no level is updated in place once listed."""
+    level, levels = 0.0, []
+    for p in probabilities:
+        level = level + p * (total_farmers - level)
         levels.append(level)
     return levels
 
@@ -240,8 +232,7 @@ def run_simulation(params, prices, subsidies):
         n = float(params.total_farmers)
         probabilities = _probability_array(utilities, params.alpha, params.beta, n).tolist()
         if params.adoption_semantics == "hazard":
-            levels = _curve(_decay(np.abs(utilities), params.alpha, n).tolist(),
-                            (utilities >= 0).tolist(), params.beta, n)
+            levels = _hazard(probabilities, n)
             new = [p * (n - prior) for p, prior in zip(probabilities, [0.0, *levels])]
         else:
             levels = [p * n for p in probabilities]

@@ -4,9 +4,10 @@ The utility oracle computes one farmer's utility term by term: yearly
 savings, their net present value over the horizon, then the net
 installation cost. The engine's affine `_utility` kernel must agree with it
 to rounding. The deterministic curve takes the numpy probability kernel
-over all years, then the yearly recurrence; the engine's scalar `_curve`
-must give its bits. Inputs are not checked here; the program checks them at its
-boundaries (ScenarioParams, YearSeries, the loaders).
+over all years, then the yearly recurrence; `run` (through `engine._hazard`)
+and calibration's scalar poll scorer `_Objective.loss` must give its bits.
+Inputs are not checked here; the program checks them at its boundaries
+(ScenarioParams, YearSeries, the loaders).
 """
 
 import math

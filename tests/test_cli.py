@@ -196,6 +196,21 @@ def test_utilities_past_the_float_range_exit_1_before_any_work(tmp_path, argv, h
         "pv_cost_min, pv_cost_max and the year's energy price and subsidy\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--mode", "stochastic", "--seed", "3"],
+    ["monte-carlo", "--replications", "2", "--seed", "3"],
+    ["calibrate", "--target", str(default_scenario_path().parent / "target_2022.csv")],
+], ids=["run", "stochastic", "monte-carlo", "calibrate"])
+def test_total_farmers_past_the_float_range_exits_1_naming_the_field(tmp_path, argv):
+    # runs take N as a float: 10**400 has none, so the scenario load rejects it
+    config = bundled_config_copy(tmp_path, total_farmers=10**400)
+    proc = run_cli(*argv, "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {config}: total_farmers must be finite, got inf\n"
+
+
 def test_stochastic_mean_past_the_float_range_exits_1_naming_the_year(tmp_path):
     # at horizon 152 every farmer's U is finite (about 6.5e306), but their sum is not
     config = bundled_config_copy(tmp_path, discount_rate=-0.99, horizon_years=152)

@@ -63,6 +63,7 @@ class TestScenarioParams:
             (dict(start_year="2005"), "start_year"),
             (dict(seed=7.0), "seed"),
             (dict(seed=False), "seed"),
+            (dict(total_farmers=10**400), "total_farmers"),
         ],
     )
     def test_invalid_fields_are_named(self, overrides, field):

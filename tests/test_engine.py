@@ -237,6 +237,21 @@ class TestRunSimulation:
         b = run_simulation(default_params, price_series, subsidy_series)
         assert a == b
 
+    def test_hazard_run_computes_its_exponentials_once(self, default_params, price_series,
+                                                       subsidy_series, monkeypatch):
+        # the hazard levels come from the probability column, not from a second exp pass
+        calls = []
+        decay = engine._decay
+
+        def counting_decay(*args, **kwargs):
+            calls.append(args[1])
+            return decay(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_decay", counting_decay)
+        assert default_params.adoption_semantics == "hazard"
+        run_simulation(default_params, price_series, subsidy_series)
+        assert calls == [default_params.alpha]
+
     def test_tiny_beta_limit_gives_no_adoption(self, price_series, subsidy_series):
         params = make_params(beta=1e-12)
         result = run_simulation(params, price_series, subsidy_series)

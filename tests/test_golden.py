@@ -11,16 +11,23 @@ them on each of its SIMD dispatch paths (see README). A case runs
 on the bundled scenario unless it names a `--config`; multi_block_150k.yaml
 is the bundled scenario at 150,000 farmers, so its stochastic run spans
 several scoring pieces.
+The margin test recomputes every printed real of every case and fails where
+one lies within 1e-12 (relative) of a rounding tie: there a last-bit change,
+such as a dispatch path's np.exp, could change the printed digit.
 To rewrite the fixtures after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import math
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from dairypv import io
 from dairypv.calibration import CalibrationTarget, calibrate
 from dairypv.cli import cli_main
 from dairypv.domain import SimulationResult, YearRecord
@@ -110,6 +117,78 @@ def test_output_matches_golden_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(RENDER_CASES))
 def test_render_matches_golden_bytes(name):
     assert _render_direct(name) == (GOLDEN / name).read_bytes()
+
+
+# A printed real may sit no closer than this, relative, to a rounding tie; an ulp is
+# 1.1e-16 relative, so thousands of ulps of drift cannot change a printed digit.
+TIE_MARGIN = 1e-12
+# Counts, and Monte Carlo means of counts over 8 replications, are exact in binary:
+# integers or fractions of at most this many bits, which no dispatch path can move.
+EXACT_BITS = 10
+
+
+def tie_margin(value, unit=None):
+    """Relative distance from value to the nearest rounding tie at unit, by default
+    one in the 6th significant digit, where format(value, ".6g") rounds."""
+    exact = abs(Fraction(value))
+    if not exact:
+        return math.inf
+    if unit is None:
+        unit = Fraction(10) ** (Decimal(value).adjusted() - 5)
+    scaled = exact / unit
+    return float(abs(scaled - math.floor(scaled) - Fraction(1, 2)) / scaled)
+
+
+def printed_reals(render, monkeypatch):
+    """(value, text) of every real number that render() prints, caught in io._table."""
+    printed, table = [], io._table
+
+    def recording_table(result):
+        head, key, columns, rows = table(result)
+        printed.extend((value, show(value)) for row in rows
+                       for (_, (show, _)), value in zip(columns, row)
+                       if show in (io._fmt, io._fmt_count))
+        return head, key, columns, rows
+
+    monkeypatch.setattr(io, "_table", recording_table)
+    render()
+    return printed
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(RENDER_CASES))
+def test_printed_reals_are_far_from_rounding_ties(name, tmp_path, monkeypatch):
+    render = ((lambda: _render(CASES[name], tmp_path / name)) if name in CASES else
+              (lambda: _render_direct(name)))
+    printed = printed_reals(render, monkeypatch)
+    assert printed
+    near = []
+    for value, text in printed:
+        if math.ldexp(value, EXACT_BITS).is_integer():
+            continue
+        margin = tie_margin(value)
+        if text == format(value, ".2f"):  # a count printed with 2 decimals rounds there too
+            margin = min(margin, tie_margin(value, Fraction(1, 100)))
+        if margin < TIE_MARGIN:
+            near.append(f"{value!r} printed as {text} is {margin:.2g} from a tie")
+    assert not near, f"{name}: " + "; ".join(near)
+
+
+@pytest.mark.parametrize("value, tie", [
+    (480.0945 * (1 + 1e-13), "480.0945"),
+    (480.0945 * (1 - 1e-13), "480.0945"),
+    (0.001234565 * (1 + 1e-13), "0.001234565"),
+    (1234565.0 * (1 - 1e-13), "1234565"),
+])
+def test_tie_margin_flags_a_value_1e_13_from_a_tie(value, tie):
+    assert value != float(tie)
+    assert 0.5e-13 < tie_margin(value) < TIE_MARGIN
+
+
+def test_tie_margin_of_known_values():
+    # the golden value closest to a tie: 480.0944998898248 prints as 480.094
+    assert tie_margin(480.0944998898248) == pytest.approx(2.3e-10, rel=0.01)
+    assert tie_margin(18000.005 + 1e-9, Fraction(1, 100)) < TIE_MARGIN
+    assert tie_margin(18000.25, Fraction(1, 100)) == pytest.approx(0.5 / 1800025)
 
 
 if __name__ == "__main__":

@@ -101,6 +101,24 @@ def test_kernel_on_subset_equals_subset_of_kernel(utilities, alpha, beta, n, dat
     assert gathered.tobytes() == full[subset].tobytes()
 
 
+@SETTINGS
+@given(utility_arrays, st.lists(alphas, min_size=1, max_size=4),
+       st.lists(betas, min_size=1, max_size=4), farmer_counts)
+@example(np.array([-1e300, -1e12]), [1e300, 100.0], [0.5], 1)  # p raised to _TINY
+@example(np.array([1e300, 1e12]), [1e300, 100.0], [1.0, 0.0023], 1)  # cut below beta
+def test_kernel_broadcasts_alpha_column_and_beta_row_bit_for_bit(utilities, alpha_list,
+                                                                 beta_list, n):
+    shape = (len(utilities), len(alpha_list), len(beta_list))
+    with np.errstate(over="ignore"):
+        p = _probability_array(np.broadcast_to(utilities[:, None, None], shape),
+                               np.array(alpha_list)[:, None], np.array(beta_list), n)
+        cells = [[_probability_array(utilities, alpha, beta, n) for beta in beta_list]
+                 for alpha in alpha_list]
+    assert [[[v.hex() for v in p[:, i, j].tolist()] for j in range(len(beta_list))]
+            for i in range(len(alpha_list))] == [
+        [[v.hex() for v in cell.tolist()] for cell in row] for row in cells]
+
+
 @st.composite
 def stochastic_scenarios(draw):
     """Small stochastic scenario plus yearly prices and subsidies."""
