@@ -27,8 +27,9 @@ def require_finite(name, value):
     """Return value as float, rejecting NaN, infinities and ints beyond float range."""
     try:
         value = float(value)
-    except OverflowError:
-        value = math.inf
+    except OverflowError:  # never formatted: repr of a long enough int raises
+        raise ValidationError(
+            f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
@@ -163,10 +164,6 @@ class ScenarioParams:
     def midpoint_cost(self):
         """Representative PV cost used by the deterministic mode."""
         return (self.pv_cost_min + self.pv_cost_max) / 2.0
-
-    @property
-    def n_years(self):
-        return self.end_year - self.start_year + 1
 
     @property
     def digest(self):

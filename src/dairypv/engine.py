@@ -285,18 +285,17 @@ class MonteCarloSummary:
 def run_monte_carlo(params, prices, subsidies, replications, base_seed):
     """Replicate the stochastic simulation and aggregate per-year statistics.
 
-    Replication r runs with seed (base_seed + r) mod 2**64 and fills column r
-    of a year-by-replication matrix. Each year's statistics are reduced over
-    its contiguous row in replication order, so the result does not depend
-    on any execution schedule. std is the population standard deviation
-    (zero for a single replication).
+    Every replication is a stochastic run whatever params.mode says, and
+    params.seed is not read: replication r runs with seed (base_seed + r) mod
+    2**64 and fills column r of a year-by-replication matrix. Each year's
+    statistics are reduced over its contiguous row in replication order, so
+    the result does not depend on any execution schedule. std is the
+    population standard deviation (zero for a single replication).
     """
     replications = require_integer("replications", replications)
     base_seed = require_integer("base_seed", base_seed)
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
-    if params.mode != "stochastic":
-        raise ValidationError(f"run_monte_carlo requires mode 'stochastic', got {params.mode!r}")
     if not 0 <= base_seed <= 2**64 - 1:
         raise ValidationError(f"base_seed must fit in an unsigned 64-bit integer, got {base_seed}")
     inputs = _yearly_inputs(params, prices, subsidies)

@@ -140,6 +140,17 @@ class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             seen.add(key)
         return mapping
 
+    def construct_yaml_int(self, node):
+        """YAML int; one Python cannot convert (past its digit limit, say) names its line."""
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError as exc:
+            line = node.start_mark.line + 1
+            raise ValidationError(f"integer on line {line} cannot be read: {exc}") from None
+
+
+_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int", _UniqueKeyLoader.construct_yaml_int)
+
 
 class LoadedScenario(NamedTuple):
     """Validated bundle returned by load_scenario; unpacks as a 4-tuple."""

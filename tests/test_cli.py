@@ -10,7 +10,8 @@ import yaml
 
 import dairypv
 from dairypv.cli import cli_main
-from dairypv.io import default_scenario_path
+from dairypv.engine import run_monte_carlo
+from dairypv.io import default_scenario_path, load_default_scenario
 
 from conftest import write_scenario
 
@@ -208,7 +209,21 @@ def test_total_farmers_past_the_float_range_exits_1_naming_the_field(tmp_path, a
     proc = run_cli(*argv, "--config", str(config))
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == f"error: {config}: total_farmers must be finite, got inf\n"
+    assert proc.stderr == (
+        f"error: {config}: total_farmers must be finite, got an integer too large for a float\n")
+
+
+@pytest.mark.parametrize("field", ["total_farmers", "alpha"])
+def test_integer_of_5001_digits_exits_1_naming_the_file(tmp_path, field):
+    # past Python's int-string digit limit (3.11+) the YAML int does not convert;
+    # with no limit (3.10) the value is past the float range
+    config = bundled_config_copy(tmp_path, **{field: 7})
+    config.write_text(config.read_text().replace(f"{field}: 7", f"{field}: 1" + "0" * 5000))
+    proc = run_cli("run", "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {config}: ")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 300  # the value is not printed
 
 
 def test_stochastic_mean_past_the_float_range_exits_1_naming_the_year(tmp_path):
@@ -326,3 +341,25 @@ class TestMonteCarloCommand:
         code = cli_main(["monte-carlo", "--config", str(path),
                          "--replications", "0", "--seed", "3"])
         assert code == 1
+
+    def test_negative_seed_exits_1_naming_base_seed(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        code = cli_main(["monte-carlo", "--config", str(path),
+                         "--replications", "1", "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: base_seed must fit in an unsigned 64-bit integer, got -1\n")
+
+    def test_loaded_params_pass_through_unchanged(self, default_config, monkeypatch, capsys):
+        # Monte Carlo reads neither the scenario's mode nor its seed, so the CLI rewrites neither
+        seen = []
+
+        def recording(params, *args):
+            seen.append(params)
+            return run_monte_carlo(params, *args)
+
+        monkeypatch.setattr("dairypv.cli.run_monte_carlo", recording)
+        assert cli_main(["monte-carlo", "--config", default_config,
+                         "--replications", "1", "--seed", "5"]) == 0
+        assert seen == [load_default_scenario().params]
+        assert seen[0].mode == "deterministic" and seen[0].seed is None

@@ -24,7 +24,6 @@ class TestScenarioParams:
     def test_valid_defaults(self):
         p = make_params()
         assert p.midpoint_cost == 10000.0
-        assert p.n_years == 18
         assert p.alpha == 1.0 and p.beta == 0.01
 
     @pytest.mark.parametrize(
@@ -64,11 +63,21 @@ class TestScenarioParams:
             (dict(seed=7.0), "seed"),
             (dict(seed=False), "seed"),
             (dict(total_farmers=10**400), "total_farmers"),
+            (dict(total_farmers=10**5000), "total_farmers"),
+            (dict(alpha=10**5000), "alpha"),
         ],
     )
     def test_invalid_fields_are_named(self, overrides, field):
         with pytest.raises(ValidationError, match=field):
             make_params(**overrides)
+
+    @pytest.mark.parametrize("exponent", [400, 5000])  # repr(10**5000) itself raises
+    @pytest.mark.parametrize("field", ["alpha", "total_farmers"])
+    def test_integer_past_the_float_range_is_named_not_printed(self, field, exponent):
+        with pytest.raises(ValidationError) as excinfo:
+            make_params(**{field: 10**exponent})
+        assert str(excinfo.value) == (
+            f"{field} must be finite, got an integer too large for a float")
 
     def test_stochastic_mode_requires_seed(self):
         with pytest.raises(ValidationError, match="seed"):

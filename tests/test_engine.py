@@ -31,7 +31,7 @@ def make_params(**overrides):
 
 
 def flat_series(params, value):
-    return YearSeries(params.start_year, [value] * params.n_years)
+    return YearSeries(params.start_year, [value] * (params.end_year - params.start_year + 1))
 
 
 class TestAdoptionProbability:
@@ -287,7 +287,7 @@ class TestRunSimulation:
                 alpha=float(10.0 ** rng.uniform(-3, 2)),
                 beta=float(10.0 ** rng.uniform(-5, 0)),
             )
-            years = range(params.n_years)
+            years = range(span + 1)
             prices = YearSeries(start, [float(rng.uniform(0, 1)) for _ in years])
             subsidies = YearSeries(start, [float(rng.uniform(0, 5000)) for _ in years])
             result = run_simulation(params, prices, subsidies)

@@ -11,30 +11,34 @@ them on each of its SIMD dispatch paths (see README). A case runs
 on the bundled scenario unless it names a `--config`; multi_block_150k.yaml
 is the bundled scenario at 150,000 farmers, so its stochastic run spans
 several scoring pieces.
-The margin test recomputes every printed real of every case and fails where
-one lies within 1e-12 (relative) of a rounding tie: there a last-bit change,
-such as a dispatch path's np.exp, could change the printed digit.
+The margin tests recompute every printed real of every case, and every draw
+of every stochastic case, and fail where a real lies within 1e-12 (relative)
+of a rounding tie or a draw within 1e-12 of its probability: there a
+last-bit change, such as a dispatch path's np.exp, could change a printed
+digit or a farmer's decision.
 To rewrite the fixtures after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import math
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dairypv import io
 from dairypv.calibration import CalibrationTarget, calibrate
 from dairypv.cli import cli_main
 from dairypv.domain import SimulationResult, YearRecord
-from dairypv.engine import run_monte_carlo
+from dairypv.engine import _probability_array, _utility, _yearly_inputs, run_monte_carlo
 from dairypv.io import (
     default_scenario_path,
     load_default_scenario,
+    load_scenario,
     parse_target_observations,
     render_result,
 )
@@ -66,7 +70,6 @@ def _calibration():
 
 def _monte_carlo(replications, seed):
     params, prices, subsidies, _ = load_default_scenario()
-    params = replace(params, mode="stochastic", seed=seed)
     return run_monte_carlo(params, prices, subsidies,
                            replications=replications, base_seed=seed)
 
@@ -189,6 +192,66 @@ def test_tie_margin_of_known_values():
     assert tie_margin(480.0944998898248) == pytest.approx(2.3e-10, rel=0.01)
     assert tie_margin(18000.005 + 1e-9, Fraction(1, 100)) < TIE_MARGIN
     assert tie_margin(18000.25, Fraction(1, 100)) == pytest.approx(0.5 / 1800025)
+
+
+# golden case: (scenario, seeds of its stochastic runs, the column of their mean count)
+STOCHASTIC = {
+    "run_stochastic_seed11.csv": (default_scenario_path(), [11], "cumulative_adopters"),
+    "run_stochastic_150k_seed11.csv": (MULTI_BLOCK, [11], "cumulative_adopters"),
+    "monte_carlo_r1_seed5.csv": (default_scenario_path(), [5], "mean_cumulative"),
+    "monte_carlo_r8_seed5.csv": (default_scenario_path(), range(5, 13), "mean_cumulative"),
+}
+# A draw may sit no closer than this, relative, to the probability it is compared with.
+DRAW_MARGIN = 1e-12
+
+
+def draw_margin(draws, probabilities):
+    """Smallest |draw - p| / p over one year's decisions (inf for none)."""
+    return float(np.min(np.abs(draws - probabilities) / probabilities, initial=np.inf))
+
+
+def replay(params, prices, subsidies, seed):
+    """(year, draws, probabilities, cumulative adopters) per year of the stochastic run
+    with this seed, from its PCG64 stream: one uniform cost per farmer, then each year
+    one draw per farmer who has not adopted, in id order; a farmer adopts iff draw < p."""
+    annuity, energy_prices, yearly_subsidies = _yearly_inputs(params, prices, subsidies)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
+    years = range(params.start_year, params.end_year + 1)
+    for year, energy_price, subsidy in zip(years, energy_prices, yearly_subsidies):
+        draws = rng.random(len(costs))
+        probabilities = _probability_array(
+            _utility(params, annuity, energy_price, costs, subsidy),
+            params.alpha, params.beta, params.total_farmers)
+        costs = costs[~(draws < probabilities)]
+        yield year, draws, probabilities, params.total_farmers - len(costs)
+
+
+@pytest.mark.parametrize("name", sorted(STOCHASTIC))
+def test_stochastic_draws_are_far_from_their_probabilities(name):
+    config, seeds, column = STOCHASTIC[name]
+    params, prices, subsidies, _ = load_scenario(config)
+    near, curves = [], []
+    for seed in seeds:
+        curves.append([])
+        for year, draws, probabilities, cumulative in replay(params, prices, subsidies, seed):
+            margin = draw_margin(draws, probabilities)
+            if margin < DRAW_MARGIN:
+                near.append(f"seed {seed}, year {year}: a draw is {margin:.2g} from its p")
+            curves[-1].append(cumulative)
+    with open(GOLDEN / name, encoding="utf-8", newline="") as handle:
+        golden = [row[column] for row in csv.DictReader(handle)]
+    # the replay makes the golden decisions: its mean counts print as the file's
+    assert golden == [io._fmt_count(sum(counts) / len(counts)) for counts in zip(*curves)]
+    assert not near, f"{name}: " + "; ".join(near)
+
+
+@pytest.mark.parametrize("relative", [1e-13, -1e-13])
+def test_draw_margin_flags_a_draw_1e_13_from_its_probability(relative):
+    probabilities = np.array([0.0050647, 0.00520441, 0.0099])
+    draws = np.array([0.5, probabilities[1] * (1 + relative), 0.0])
+    assert 0.5e-13 < draw_margin(draws, probabilities) < DRAW_MARGIN
+    assert draw_margin(np.array([0.5, 0.9, 0.0]), probabilities) == 1.0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import builtins
 import io
 import json
+import sys
 import tempfile
 from collections import Counter
 from contextlib import nullcontext
@@ -144,6 +145,23 @@ class TestLoadScenario:
         path.write_text(path.read_text() + "beta: 0.5\nbeta: 0.02\n")
         with pytest.raises(ValidationError, match=r"scenario\.yaml: duplicate key 'beta'"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("value, message", [
+        ("!!int 12abc", "invalid literal for int()"),
+        pytest.param("1" + "0" * 5000, "Exceeds the limit",
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="this Python converts ints of any length")),
+    ], ids=["bad_literal", "5001_digits"])
+    def test_unconvertible_integer_names_line_and_file(self, tmp_path, value, message):
+        path = write_scenario(tmp_path)
+        lines = path.read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if text.startswith("total_farmers:"))
+        lines[line - 1] = f"total_farmers: {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value).startswith(
+            f"{path}: integer on line {line} cannot be read: {message}")
 
     def test_missing_required_key(self, tmp_path):
         path = write_scenario(tmp_path)
@@ -357,8 +375,7 @@ class TestRenderResult:
     def test_monte_carlo_render(self, default_bundle):
         from dataclasses import replace
 
-        params = replace(default_bundle.params, mode="stochastic", seed=1,
-                         total_farmers=50)
+        params = replace(default_bundle.params, total_farmers=50)
         summary = run_monte_carlo(params, default_bundle.prices, default_bundle.subsidies,
                                   replications=3, base_seed=4)
         text = render_result(summary, "csv")

@@ -116,10 +116,12 @@ def test_numpy_integer_arguments_are_stored_as_int(price_series, subsidy_series)
                                       replications=2, base_seed=5)
 
 
-def test_requires_stochastic_mode(price_series, subsidy_series):
-    params = make_params(mode="deterministic", seed=None)
-    with pytest.raises(ValidationError, match="stochastic"):
-        run_monte_carlo(params, price_series, subsidy_series, replications=2, base_seed=1)
+def test_reads_neither_mode_nor_seed(price_series, subsidy_series):
+    # replication r runs seed base_seed + r whatever the scenario's mode and seed
+    stochastic = make_params(seed=123)
+    deterministic = replace(stochastic, mode="deterministic", seed=None)
+    assert (run_monte_carlo(deterministic, price_series, subsidy_series, 3, 1)
+            == run_monte_carlo(stochastic, price_series, subsidy_series, 3, 1))
 
 
 def test_seed_wraps_at_uint64(price_series, subsidy_series):
