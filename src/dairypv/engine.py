@@ -22,9 +22,11 @@ from .errors import CoverageGapError, ValidationError
 # saturates, keeping the open-interval (0, beta) contract.
 _TINY = 5e-324
 
-# Most farmers a stochastic run scores at a time: few enough that a piece's
-# temporaries stay in cache, enough to hide per-call overhead; >= 128 (see _pairwise).
-_BLOCK = 2**16
+# Most farmers a stochastic run scores at a time; >= 128 (see _pairwise). A piece keeps
+# about five 8*_BLOCK-byte arrays live (costs, U, |U| or e, p, draws): inside the benchmark
+# host's 2 MiB per-core L2 at 2**15, past it at 2**16. On stochastic-1m, 2**16 and 2**13
+# ran 6-8% slower than 2**15, and 2**14 tied with it (CHANGES.md).
+_BLOCK = 2**15
 
 
 def _pairwise(start, count, leaf):
@@ -54,40 +56,37 @@ def _annuity(params):
     return total
 
 
-def _utility(params, annuity, energy_price, pv_cost, subsidy, out=None):
+def _utility(params, annuity, energy_price, pv_cost, subsidy):
     """Utility kernel: discounted savings minus net installation cost, in affine form.
 
     With annuity A, the NPV of the constant yearly savings gen*price - m*c
     is (gen*price - m*c)*A, so the utility NPV - c + subsidy equals
     gen*price*A - (1 + m*A)*c + subsidy. Any argument may be an array
-    (prices and subsidies per year, or PV costs per farmer); `out`, if
-    given, receives the result.
+    (prices and subsidies per year, or PV costs per farmer).
     """
-    u = np.multiply(1.0 + params.maintenance_rate * annuity, pv_cost, out=out)
-    u = np.subtract(params.annual_generation_kwh * energy_price * annuity, u, out=out)
-    return np.add(u, subsidy, out=out)
+    return (params.annual_generation_kwh * energy_price * annuity
+            - (1.0 + params.maintenance_rate * annuity) * pv_cost + subsidy)
 
 
-def _decay(magnitudes, alpha, total_farmers, out=None):
-    """e = exp(((-alpha)*|U|)/N) from magnitudes |U|; `out`, if given, receives e.
+def _decay(magnitudes, alpha, total_farmers):
+    """e = exp(((-alpha)*|U|)/N) from magnitudes |U|.
 
     For alpha > 0 this has the bits of exp(-|alpha*U/N|), because IEEE multiply
     and divide round the same way for either sign. exp can underflow, never overflow.
     """
-    e = np.multiply(-alpha, magnitudes, out=out)
-    return np.exp(np.divide(e, total_farmers, out=e), out=e)
+    return np.exp(-alpha * magnitudes / total_farmers)
 
 
-def _probability_array(utilities, alpha, beta, total_farmers, out=None):
+def _probability_array(utilities, alpha, beta, total_farmers):
     """Probability kernel beta/(1 + exp(-x)), x = alpha*U/N, strictly inside (0, beta).
 
     With e from _decay, that is beta/(1 + e) where U >= 0, else e*beta/(1 + e): p =
     max(e, U >= 0)*beta/(1 + e), as 0 <= e <= 1. U >= 0 and x >= 0 differ only where
-    x underflows to -0.0, and there e = 1, so p is the same. `out`, if given, receives p.
-    alpha and beta may be arrays that broadcast to U's shape: the steps run in place.
+    x underflows to -0.0, and there e = 1, so p is the same. alpha and beta may be
+    arrays that broadcast to U's shape; later steps run in place on e and p, never on U.
     """
-    e = np.abs(utilities)
-    p = np.maximum(_decay(e, alpha, total_farmers, out=e), utilities >= 0, out=out)
+    e = _decay(np.abs(utilities), alpha, total_farmers)
+    p = np.maximum(e, utilities >= 0)
     p *= beta
     p /= np.add(e, 1.0, out=e)
     return p.clip(_TINY, np.nextafter(beta, 0.0), out=p)
@@ -178,22 +177,20 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
     The farmers, draws and adoptions are those of _stochastic_years, but the
     means need every remaining farmer scored, so each is scored once and
     adopts iff its draw is below its probability. score takes _pairwise's
-    pieces in id order through piece-sized buffers: the pieces' sums add up
-    to np.mean's bits, and their draws to one PCG64 draw per year.
+    pieces in id order: the pieces' sums add up to np.mean's bits, and their
+    draws to one PCG64 draw per year.
     Survivors' costs move to the front of the cost array, in order, copied
     out before they are written back and never past their piece.
     """
     rng = np.random.Generator(np.random.PCG64(params.seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
-    utilities, probabilities = np.empty((2, min(len(costs), _BLOCK)))
     remaining = len(costs)
 
     def score(start, count):
         nonlocal stayed
         piece = costs[start:start + count]
-        u = _utility(params, annuity, energy_price, piece, subsidy, out=utilities[:count])
-        p = _probability_array(u, params.alpha, params.beta, params.total_farmers,
-                               out=probabilities[:count])
+        u = _utility(params, annuity, energy_price, piece, subsidy)
+        p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
         left = piece[~(rng.random(count) < p)]
         costs[stayed:stayed + len(left)] = left
         stayed += len(left)

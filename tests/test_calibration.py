@@ -226,9 +226,9 @@ def test_alpha_half_is_computed_once_per_scored_alpha(
     computed, polled = [], []
     decay, loss = calibration._decay, _Objective.loss
 
-    def recording_decay(magnitudes, alpha, total_farmers, out=None):
+    def recording_decay(magnitudes, alpha, total_farmers):
         computed.extend(np.ravel(alpha).tolist())
-        return decay(magnitudes, alpha, total_farmers, out=out)
+        return decay(magnitudes, alpha, total_farmers)
 
     def recording_loss(self, alpha, beta):
         polled.append(alpha)

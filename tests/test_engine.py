@@ -163,14 +163,14 @@ class TestStepYearStochastic:
             assert math.isfinite(record.economic_utility)
             assert 0.0 < record.probability < 1.0
 
-    @pytest.mark.parametrize("block", [128, 2**16])
+    @pytest.mark.parametrize("block", [128, 2**15, 2**16])
     def test_pairwise_pieces_sum_to_numpys_bits(self, block, monkeypatch):
         assert engine._BLOCK >= 128  # numpy's pairwise block; below it pieces never end
         monkeypatch.setattr(engine, "_BLOCK", block)
         rng = np.random.default_rng(7)
         values = rng.standard_normal(10**6) * 10.0 ** rng.uniform(-8, 8, 10**6)
-        for count in (1, 7, 8, 127, 128, 129, 255, 256, 257, 1000, 2**16 - 1, 2**16,
-                      2**16 + 1, 2**17 + 9, 150_000, 10**6):
+        for count in (1, 7, 8, 127, 128, 129, 255, 256, 257, 1000, 2**15 - 1, 2**15,
+                      2**15 + 1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 9, 150_000, 10**6):
             head = values[:count]
             pieces = engine._pairwise(0, count, lambda i, n: np.add.reduce(head[i:i + n]))
             assert pieces.tobytes() == np.add.reduce(head).tobytes(), (

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dairypv import io
+from dairypv import engine, io
 from dairypv.calibration import CalibrationTarget, calibrate
 from dairypv.cli import cli_main
 from dairypv.domain import SimulationResult, YearRecord
@@ -120,6 +120,11 @@ def test_output_matches_golden_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(RENDER_CASES))
 def test_render_matches_golden_bytes(name):
     assert _render_direct(name) == (GOLDEN / name).read_bytes()
+
+
+def test_multi_block_population_spans_several_pieces():
+    params = load_scenario(MULTI_BLOCK)[0]
+    assert engine._pairwise(0, params.total_farmers, lambda start, count: 1) >= 2
 
 
 # A printed real may sit no closer than this, relative, to a rounding tie; an ulp is

@@ -73,12 +73,10 @@ def two_branch_probability(utilities, alpha, beta, total_farmers):
 @example(np.array([-0.0, 0.0]), 1.0, 1.0, 1)
 @example(np.array([-1e300, 1e300]), 1e300, 1.0, 1)  # alpha*U overflows to -inf and +inf
 def test_kernel_matches_two_branch_formula_inside_open_interval(utilities, alpha, beta, n):
-    out = np.empty_like(utilities)
     with np.errstate(over="ignore"):
         expected = two_branch_probability(utilities, alpha, beta, n)
         p = _probability_array(utilities, alpha, beta, n)
-        assert _probability_array(utilities, alpha, beta, n, out=out) is out
-    assert p.tobytes() == expected.tobytes() == out.tobytes()
+    assert p.tobytes() == expected.tobytes()
     assert np.all(p > 0.0) and np.all(p < beta)
 
 
@@ -117,6 +115,26 @@ def test_kernel_broadcasts_alpha_column_and_beta_row_bit_for_bit(utilities, alph
     assert [[[v.hex() for v in p[:, i, j].tolist()] for j in range(len(beta_list))]
             for i in range(len(alpha_list))] == [
         [[v.hex() for v in cell.tolist()] for cell in row] for row in cells]
+
+
+@SETTINGS
+@given(utility_arrays, st.data())
+def test_kernels_write_into_no_argument(utilities, data):
+    def scalar_or_array(values):
+        return st.one_of(values, hnp.arrays(np.float64, len(utilities), elements=values))
+
+    alpha, beta = data.draw(scalar_or_array(alphas)), data.draw(scalar_or_array(betas))
+    prices, subsidies = (data.draw(hnp.arrays(np.float64, len(utilities),
+                                              elements=reals(-1e6, 1e6))) for _ in range(2))
+    magnitudes, n = np.abs(utilities), data.draw(farmer_counts)
+    params = load_default_scenario()[0]
+    arguments = (utilities, magnitudes, alpha, beta, prices, subsidies)
+    before = [np.asarray(a).tobytes() for a in arguments]
+    with np.errstate(all="ignore"):
+        _utility(params, 12.5, prices, utilities, subsidies)
+        _decay(magnitudes, alpha, n)
+        _probability_array(utilities, alpha, beta, n)
+    assert [np.asarray(a).tobytes() for a in arguments] == before
 
 
 @st.composite
