@@ -12,7 +12,7 @@ import numbers
 from dataclasses import dataclass, fields
 from datetime import MAXYEAR, MINYEAR
 
-from .errors import ValidationError
+from .errors import CoverageGapError, ValidationError
 
 # Monetary amounts are floats in EUR; the alias documents intent.
 MoneyEur = float
@@ -48,6 +48,7 @@ class YearSeries:
 
     Contiguity is structural: the series stores its first year plus one
     value per consecutive year, so gaps and duplicates cannot exist.
+    window is the one check that a series covers a run's years.
     """
 
     first_year: int
@@ -64,16 +65,21 @@ class YearSeries:
     def last_year(self):
         return self.first_year + len(self.values) - 1
 
-    def __contains__(self, year):
-        return self.first_year <= year <= self.last_year
+    def window(self, years, name):
+        """The values of the consecutive years in range `years`, as a tuple.
 
-    def value_for(self, year):
-        """Look up the value for a year; KeyError outside the covered range."""
-        if year not in self:
-            raise KeyError(
-                f"year {year} outside series range {self.first_year}-{self.last_year}"
+        Raises CoverageGapError naming the series `name` and carrying the
+        years of the range the series lacks, in order.
+        """
+        missing = [y for y in years if not self.first_year <= y <= self.last_year]
+        if missing:
+            raise CoverageGapError(
+                f"{name} series covers {self.first_year}-{self.last_year} but the "
+                f"scenario needs {years[0]}-{years[-1]}; missing years: "
+                + ", ".join(str(y) for y in missing),
+                missing_years=missing,
             )
-        return self.values[year - self.first_year]
+        return tuple(self.values[y - self.first_year] for y in years)
 
     def items(self):
         for i, value in enumerate(self.values):

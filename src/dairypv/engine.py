@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import SimulationResult, YearRecord, require_finite, require_integer
-from .errors import CoverageGapError, ValidationError
+from .errors import ValidationError
 
 # Smallest positive float; floor for probabilities when the exponential
 # saturates, keeping the open-interval (0, beta) contract.
@@ -102,30 +102,17 @@ def _hazard(probabilities, total_farmers):
     return levels
 
 
-def check_series_coverage(series, name, params):
-    """Fail fast if a series does not cover every simulated year."""
-    missing = [y for y in range(params.start_year, params.end_year + 1) if y not in series]
-    if missing:
-        raise CoverageGapError(
-            f"{name} series covers {series.first_year}-{series.last_year} but the "
-            f"scenario needs {params.start_year}-{params.end_year}; missing years: "
-            + ", ".join(str(y) for y in missing),
-            missing_years=missing,
-        )
-
-
 def _yearly_inputs(params, prices, subsidies):
     """A run's one input step: (annuity, price array, subsidy array), start_year..end_year.
 
-    Checks coverage, and U at both ends of the cost range: U is affine in cost, so it is
-    finite for every farmer if it is finite there.
+    YearSeries.window checks coverage, price before subsidy. Then U is checked at both
+    ends of the cost range: U is affine in cost, so it is finite for every farmer if it
+    is finite there.
     """
-    check_series_coverage(prices, "price", params)
-    check_series_coverage(subsidies, "subsidy", params)
     years = range(params.start_year, params.end_year + 1)
+    energy_prices = np.array(prices.window(years, "price"))
+    yearly_subsidies = np.array(subsidies.window(years, "subsidy"))
     annuity = _annuity(params)
-    energy_prices = np.array([prices.value_for(y) for y in years])
-    yearly_subsidies = np.array([subsidies.value_for(y) for y in years])
     with np.errstate(all="ignore"):
         finite = np.isfinite(_utility(params, annuity, energy_prices, np.array(
             [[params.pv_cost_min], [params.pv_cost_max]]), yearly_subsidies)).all(axis=0)

@@ -24,7 +24,7 @@ import yaml
 
 from .calibration import CalibrationResult, CalibrationTarget
 from .domain import ScenarioParams, SimulationResult, YearSeries
-from .engine import MonteCarloSummary, check_series_coverage
+from .engine import MonteCarloSummary
 from .errors import (
     BadValueError,
     DairyPvError,
@@ -212,7 +212,7 @@ def _parse_scenario(stream):
 def _parse_covering_series(stream, value_column, name, params):
     """parse_year_series, then check that it covers every simulated year."""
     series = parse_year_series(stream, value_column)
-    check_series_coverage(series, name, params)
+    series.window(range(params.start_year, params.end_year + 1), name)
     return series
 
 

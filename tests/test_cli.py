@@ -236,6 +236,26 @@ def test_stochastic_mean_past_the_float_range_exits_1_naming_the_year(tmp_path):
                            "remaining farmers' utilities left float range\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["monte-carlo", "--replications", "2", "--seed", "3"],
+    ["calibrate", "--target", str(default_scenario_path().parent / "target_2022.csv")],
+], ids=["monte-carlo", "calibrate"])
+def test_short_series_exit_1_naming_the_price_file(tmp_path, argv):
+    # both series lack 2005-2006: the price file is read, and named, first
+    for name, header in (("prices.csv", "year,price_eur_per_kwh"),
+                         ("subsidies.csv", "year,subsidy_eur")):
+        rows = "".join(f"{year},0.2\n" for year in range(2007, 2023))
+        (tmp_path / name).write_text(f"{header}\n{rows}")
+    config = bundled_config_copy(tmp_path, price_series="prices.csv",
+                                 subsidy_series="subsidies.csv")
+    proc = run_cli(*argv, "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: {tmp_path / 'prices.csv'}: price series covers 2007-2022 but the scenario "
+        "needs 2005-2022; missing years: 2005, 2006\n")
+
+
 def bundled_config_copy(tmp_path, **overrides):
     """The bundled scenario with absolute series paths and overrides, as a file."""
     data = yaml.safe_load(default_scenario_path().read_text())

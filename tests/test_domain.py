@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dairypv.domain import ScenarioParams, SimulationResult, YearRecord, YearSeries
-from dairypv.errors import ValidationError
+from dairypv.errors import CoverageGapError, ValidationError
 from reference import round_half_up
 
 
@@ -111,12 +113,24 @@ class TestYearSeries:
         assert s.first_year == 2005 and s.last_year == 2007
         assert list(s.items()) == [(2005, 0.14), (2006, 0.15), (2007, 0.16)]
 
-    def test_lookup_inside_and_outside_range(self):
-        s = YearSeries(2005, (1.0, 2.0))
-        assert all(s.value_for(y) == v for y, v in s.items())
-        for year in (2004, 2007):
-            with pytest.raises(KeyError, match=str(year)):
-                s.value_for(year)
+    @settings(max_examples=200, deadline=None)
+    @given(first_year=st.integers(-3000, 3000), length=st.integers(1, 30),
+           offset=st.integers(-40, 40), span=st.integers(1, 40))
+    def test_window_is_the_slice_or_lists_missing_years(self, first_year, length, offset,
+                                                         span):
+        s = YearSeries(first_year, tuple(float(i) for i in range(length)))
+        start = first_year + offset
+        years = range(start, start + span)
+        missing = [y for y in years if y < first_year or y > s.last_year]
+        if not missing:
+            assert s.window(years, "price") == s.values[offset:offset + span]
+            return
+        with pytest.raises(CoverageGapError) as excinfo:
+            s.window(years, "price")
+        assert excinfo.value.missing_years == tuple(missing)
+        assert str(excinfo.value) == (
+            f"price series covers {first_year}-{s.last_year} but the scenario needs "
+            f"{start}-{years[-1]}; missing years: " + ", ".join(map(str, missing)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="values"):

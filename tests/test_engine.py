@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dairypv import engine
+from dairypv import calibration, engine
+from dairypv.calibration import calibrate
 from dairypv.domain import ScenarioParams, YearSeries
-from dairypv.engine import _annuity, _utility, run_simulation
+from dairypv.engine import _annuity, _utility, run_monte_carlo, run_simulation
 from dairypv.errors import CoverageGapError, ValidationError
 from reference import adoption_probability, agent_utility, net_present_value
 
@@ -304,3 +305,35 @@ class TestRunSimulation:
         assert a == b
         final = a.records[-1].cumulative_adopters
         assert final == float(int(final))  # integer counts
+
+
+@pytest.mark.parametrize("short, named, missing", [
+    ("price", "price series covers 2008-2022", (2005, 2006, 2007)),
+    ("subsidy", "subsidy series covers 2007-2022", (2005, 2006)),
+    ("both", "price series covers 2008-2022", (2005, 2006, 2007)),
+], ids=["price", "subsidy", "both"])
+@pytest.mark.parametrize("entry", ["monte-carlo", "calibrate"])
+def test_coverage_gap_fails_before_any_draw_or_grid_cell(default_bundle, monkeypatch, entry,
+                                                         short, named, missing):
+    params, prices, subsidies, target = default_bundle
+    if short != "subsidy":
+        prices = YearSeries(2008, prices.values[3:])
+    if short != "price":
+        subsidies = YearSeries(2007, subsidies.values[2:])
+
+    def no_work(*args):
+        raise AssertionError("work started before the coverage check")
+
+    # every draw starts from a PCG64, and every grid cell or poll from the kernel or _decay
+    monkeypatch.setattr(np.random, "PCG64", no_work)
+    for module, name in ((engine, "_probability_array"), (calibration, "_probability_array"),
+                         (calibration, "_decay")):
+        monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(CoverageGapError) as excinfo:
+        if entry == "monte-carlo":
+            run_monte_carlo(params, prices, subsidies, replications=3, base_seed=0)
+        else:
+            calibrate(params, prices, subsidies, target)
+    assert excinfo.value.missing_years == missing
+    assert str(excinfo.value) == (f"{named} but the scenario needs 2005-2022; missing years: "
+                                  + ", ".join(map(str, missing)))

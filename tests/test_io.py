@@ -127,7 +127,7 @@ class TestLoadScenario:
         assert params.total_farmers == 18000
         assert params.start_year == 2005 and params.end_year == 2022
         assert prices.first_year == 2005 and prices.last_year == 2022
-        assert subsidies.value_for(2022) == 3500.0
+        assert subsidies.window(range(2022, 2023), "subsidy") == (3500.0,)
         assert target.observations == ((2022, 441.0),)
 
     def test_missing_file_names_path(self, tmp_path):
