@@ -22,24 +22,11 @@ from .errors import ValidationError
 # saturates, keeping the open-interval (0, beta) contract.
 _TINY = 5e-324
 
-# Most farmers a stochastic run scores at a time; >= 128 (see _pairwise). A piece keeps
-# about five 8*_BLOCK-byte arrays live (costs, U, |U| or e, p, draws): inside the benchmark
+# Most farmers a stochastic run scores at a time. A piece keeps about five
+# 8*_BLOCK-byte arrays live (costs, U, |U| or e, p, draws): inside the benchmark
 # host's 2 MiB per-core L2 at 2**15, past it at 2**16. On stochastic-1m, 2**16 and 2**13
 # ran 6-8% slower than 2**15, and 2**14 tied with it (CHANGES.md).
 _BLOCK = 2**15
-
-
-def _pairwise(start, count, leaf):
-    """leaf(start, count) summed over the pieces numpy's pairwise summation makes.
-
-    numpy sums over 128 values as two halves, the first cut to a multiple of
-    8, split alike down to 128 (so _BLOCK >= 128); pieces up to _BLOCK go
-    whole to leaf, so np.add.reduce leaves give np.add.reduce's bits.
-    """
-    if count <= _BLOCK:
-        return leaf(start, count)
-    half = count // 2 - count // 2 % 8
-    return _pairwise(start, half, leaf) + _pairwise(start + half, count - half, leaf)
 
 
 def _annuity(params):
@@ -163,26 +150,16 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
 
     The farmers, draws and adoptions are those of _stochastic_years, but the
     means need every remaining farmer scored, so each is scored once and
-    adopts iff its draw is below its probability. score takes _pairwise's
-    pieces in id order: the pieces' sums add up to np.mean's bits, and their
-    draws to one PCG64 draw per year.
+    adopts iff its draw is below its probability. Pieces of at most _BLOCK
+    farmers are walked in id order, each taking its own draws: one PCG64 draw
+    per farmer per year. A mean is the pieces' sums added left to right from
+    -0.0, over the count: np.mean's bits when one piece holds every farmer.
     Survivors' costs move to the front of the cost array, in order, copied
     out before they are written back and never past their piece.
     """
     rng = np.random.Generator(np.random.PCG64(params.seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
     remaining = len(costs)
-
-    def score(start, count):
-        nonlocal stayed
-        piece = costs[start:start + count]
-        u = _utility(params, annuity, energy_price, piece, subsidy)
-        p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
-        left = piece[~(rng.random(count) < p)]
-        costs[stayed:stayed + len(left)] = left
-        stayed += len(left)
-        return np.array((np.add.reduce(u), np.add.reduce(p)))
-
     years = range(params.start_year, params.end_year + 1)
     for year, energy_price, subsidy in zip(years, energy_prices, yearly_subsidies):
         if not remaining:  # all adopted: the representative farmer keeps records finite
@@ -190,12 +167,22 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
             p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
             yield float(u[0]), float(p[0]), 0.0, float(len(costs))
             continue
-        stayed = 0
-        mean_u, mean_p = _pairwise(0, remaining, score) / remaining
+        stayed, sum_u, sum_p = 0, -0.0, -0.0
+        for start in range(0, remaining, _BLOCK):
+            piece = costs[start:min(start + _BLOCK, remaining)]
+            u = _utility(params, annuity, energy_price, piece, subsidy)
+            p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
+            left = piece[~(rng.random(len(piece)) < p)]
+            costs[stayed:stayed + len(left)] = left
+            stayed += len(left)
+            sum_u += float(np.add.reduce(u))
+            sum_p += float(np.add.reduce(p))
+            del u, p, left  # free this piece's arrays before the next piece allocates
+        mean_u = sum_u / remaining
         if not math.isfinite(mean_u):  # each U is finite (_yearly_inputs), not their sum
             raise ValidationError(f"mean utility in {year} is not finite: the sum of the "
                                   "remaining farmers' utilities left float range")
-        yield float(mean_u), float(mean_p), float(remaining - stayed), float(len(costs) - stayed)
+        yield mean_u, sum_p / remaining, float(remaining - stayed), float(len(costs) - stayed)
         remaining = stayed
 
 

@@ -124,7 +124,7 @@ def test_render_matches_golden_bytes(name):
 
 def test_multi_block_population_spans_several_pieces():
     params = load_scenario(MULTI_BLOCK)[0]
-    assert engine._pairwise(0, params.total_farmers, lambda start, count: 1) >= 2
+    assert math.ceil(params.total_farmers / engine._BLOCK) >= 2
 
 
 # A printed real may sit no closer than this, relative, to a rounding tie; an ulp is

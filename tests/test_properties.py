@@ -161,11 +161,22 @@ def stochastic_scenarios(draw):
     return params, prices, subsidies
 
 
-def score_every_farmer(params, annuity, prices, subsidies):
+def piece_mean(values, block):
+    """Sum of np.add.reduce over consecutive block-sized slices, left to right from
+    -0.0, over the count; np.mean when block is None."""
+    if block is None:
+        return float(np.mean(values))
+    total = -0.0
+    for start in range(0, len(values), block):
+        total += float(np.add.reduce(values[start:start + block]))
+    return total / len(values)
+
+
+def score_every_farmer(params, annuity, prices, subsidies, block):
     """Reference run on whole arrays: every remaining farmer is scored and adopts iff draw < p.
 
-    Yields (mean utility, mean probability, new, cumulative) per year; once
-    all have adopted, the means are the midpoint farmer's.
+    Yields (mean utility, mean probability, new, cumulative) per year, the means
+    taken by piece_mean; once all have adopted, they are the midpoint farmer's.
     """
     rng = np.random.Generator(np.random.PCG64(params.seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
@@ -178,7 +189,7 @@ def score_every_farmer(params, annuity, prices, subsidies):
         costs = costs[~adopts]
         new = int(np.count_nonzero(adopts))
         cumulative += new
-        yield float(np.mean(utilities)), float(np.mean(p)), float(new), float(cumulative)
+        yield piece_mean(utilities, block), piece_mean(p, block), float(new), float(cumulative)
 
 
 # all adopt in the first year: five farmers, beta = 1 and the probability capped below it
@@ -187,24 +198,33 @@ ALL_ADOPT = (ScenarioParams(pv_cost_min=0.0, pv_cost_max=1.0, maintenance_rate=0
                             end_year=2007, alpha=1e3, beta=1.0, mode="stochastic", seed=3),
              np.array([0.5, 0.5, 0.5]), np.array([1e4, 1e4, 1e4]))
 
-# 1,000 farmers span 8 pieces of at most 128 or 136, most of whom stay
-EIGHT_PIECES = (replace(ALL_ADOPT[0], total_farmers=1000, alpha=1e-3, beta=0.01, seed=17),
-                ALL_ADOPT[1], ALL_ADOPT[2])
+
+def few_adopt(total_farmers):
+    """total_farmers farmers over three years, most of whom stay."""
+    return (replace(ALL_ADOPT[0], total_farmers=total_farmers, alpha=1e-3, beta=0.01,
+                    seed=17), ALL_ADOPT[1], ALL_ADOPT[2])
 
 
 @settings(max_examples=100, deadline=None)
 @given(stochastic_scenarios())
 @example(ALL_ADOPT)
-@example(EIGHT_PIECES)
+@example(few_adopt(1000))  # 8 pieces of at most 128 or 136
+@example(few_adopt(128))  # in pieces of 128: a full last piece
+@example(few_adopt(129))  # a last piece of one farmer
+@example(few_adopt(256))  # a full last piece
+@example(few_adopt(257))  # a last piece of one farmer
 def test_beta_filter_drops_no_adopter(scenario):
-    """Pieces of at most 128 or 136 farmers give the whole-array reference's bits.
+    """Pieces of at most 128 or 136 farmers give the piece-summed reference's bits,
+    and every generated population fits one piece of the default _BLOCK, so there
+    the means are np.mean's bits.
 
     The draw-first beta filter of Monte Carlo finds the same adopters.
     """
     params, prices, subsidies = scenario
     annuity = _annuity(params)
-    expected = np.array(list(score_every_farmer(params, annuity, prices, subsidies)))
-    for block in (128, 136):
+    for block, mean_block in ((128, 128), (136, 136), (engine._BLOCK, None)):
+        expected = np.array(list(score_every_farmer(params, annuity, prices, subsidies,
+                                                    mean_block)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_BLOCK", block)
             run = np.array(list(engine._stochastic_run(params, annuity, prices, subsidies)))
