@@ -2,7 +2,8 @@
 
 Every command is one pipeline: cli_main loads the scenario, calls the
 command's function of (args, params, prices, subsidies), which returns the
-result and does no I/O, and writes that result once. Results go to --out or
+result, and writes that result once. The command functions do no I/O but
+one: calibrate reads its --target file itself. Results go to --out or
 stdout; all diagnostics go to stderr. Exit codes: 0 success, 1
 validation/parse/usage error, 2 runtime or calibration failure.
 """

@@ -2,6 +2,23 @@ import pytest
 import yaml
 
 from dairypv import load_default_scenario
+from dairypv.domain import ScenarioParams
+
+
+def make_params(**overrides):
+    """ScenarioParams of the bundled economics over 2005-2022, other fields at their
+    defaults, with the given overrides."""
+    base = dict(
+        pv_cost_min=5000.0,
+        pv_cost_max=15000.0,
+        maintenance_rate=0.02,
+        discount_rate=0.04,
+        total_farmers=18000,
+        start_year=2005,
+        end_year=2022,
+    )
+    base.update(overrides)
+    return ScenarioParams(**base)
 
 
 def write_scenario(tmp_path, config=None, prices=None, subsidies=None, name="scenario.yaml"):

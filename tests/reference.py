@@ -6,6 +6,9 @@ installation cost. The engine's affine `_utility` kernel must agree with it
 to rounding. The deterministic curve takes the numpy probability kernel
 over all years, then the yearly recurrence; `run` (through `engine._hazard`)
 and calibration's scalar poll scorer `_Objective.loss` must give its bits.
+The stochastic run scores every remaining farmer at once, from the same
+PCG64 stream as the engine; the engine, which scores pieces of farmers,
+must make the same decisions.
 Inputs are not checked here; the program checks them at its boundaries
 (ScenarioParams, YearSeries, the loaders).
 """
@@ -15,7 +18,7 @@ import math
 import numpy as np
 
 from dairypv.calibration import _Objective
-from dairypv.engine import _probability_array
+from dairypv.engine import _probability_array, _utility
 
 
 def annual_savings(generation_kwh, energy_price, pv_cost, maintenance_rate):
@@ -72,6 +75,26 @@ def deterministic_curve(utilities, alpha, beta, total_farmers, semantics):
         cumulative.append(level)
         prior = level
     return probabilities, new, cumulative
+
+
+def stochastic_run(params, annuity, energy_prices, yearly_subsidies, seed):
+    """(utilities, probabilities, draws, cumulative adopters) per year, on whole arrays.
+
+    From PCG64(seed): one uniform PV cost per farmer, then each year one draw
+    per farmer who has not adopted, in id order; every such farmer is scored
+    with the engine kernels and adopts iff draw < p. Once all have adopted,
+    the midpoint farmer is scored and no draw is taken.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
+    for energy_price, subsidy in zip(energy_prices, yearly_subsidies):
+        scored = costs if len(costs) else np.array([params.midpoint_cost])
+        utilities = _utility(params, annuity, energy_price, scored, subsidy)
+        probabilities = _probability_array(utilities, params.alpha, params.beta,
+                                           params.total_farmers)
+        draws = rng.random(len(costs))
+        costs = costs[~(draws < probabilities[:len(costs)])]
+        yield utilities, probabilities, draws, params.total_farmers - len(costs)
 
 
 def evaluate_loss(candidate, params, prices, subsidies, target):

@@ -187,6 +187,14 @@ class TestCalibrate:
         with pytest.raises(ValidationError, match="1999"):
             calibrate(default_params, price_series, subsidy_series, bad)
 
+    def test_scenario_alpha_beta_mode_and_semantics_are_not_read(self, default_bundle):
+        # the fit starts from its fixed grid and scores the deterministic hazard curve
+        params, prices, subsidies, target = default_bundle
+        ignored = replace(params, alpha=37.0, beta=0.9, mode="stochastic", seed=4,
+                          adoption_semantics="literal")
+        assert calibrate(ignored, prices, subsidies, target) == calibrate(
+            params, prices, subsidies, target)
+
 
 OBSERVATIONS = [
     ((2022, 441.0),),

@@ -3,23 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dairypv.domain import ScenarioParams, SimulationResult, YearRecord, YearSeries
+from dairypv.domain import SimulationResult, YearRecord, YearSeries
 from dairypv.errors import CoverageGapError, ValidationError
+from conftest import make_params
 from reference import round_half_up
-
-
-def make_params(**overrides):
-    base = dict(
-        pv_cost_min=5000.0,
-        pv_cost_max=15000.0,
-        maintenance_rate=0.02,
-        discount_rate=0.04,
-        total_farmers=18000,
-        start_year=2005,
-        end_year=2022,
-    )
-    base.update(overrides)
-    return ScenarioParams(**base)
 
 
 class TestScenarioParams:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dairypv.domain import ScenarioParams
+from conftest import make_params
 from reference import agent_utility, annual_savings, economic_utility, net_present_value
 
 
@@ -79,22 +79,6 @@ class TestEconomicUtility:
             assert economic_utility(npv + d, iic, sub) == pytest.approx(base + d, rel=1e-9, abs=1e-6)
             assert economic_utility(npv, iic + d, sub) == pytest.approx(base - d, rel=1e-9, abs=1e-6)
             assert economic_utility(npv, iic, sub + d) == pytest.approx(base + d, rel=1e-9, abs=1e-6)
-
-
-def make_params(**overrides):
-    base = dict(
-        pv_cost_min=5000.0,
-        pv_cost_max=15000.0,
-        maintenance_rate=0.02,
-        discount_rate=0.04,
-        total_farmers=18000,
-        start_year=2005,
-        end_year=2022,
-        horizon_years=20,
-        annual_generation_kwh=6000.0,
-    )
-    base.update(overrides)
-    return ScenarioParams(**base)
 
 
 class TestAgentUtility:

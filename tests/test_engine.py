@@ -7,35 +7,18 @@ import pytest
 
 from dairypv import calibration, engine
 from dairypv.calibration import calibrate
-from dairypv.domain import ScenarioParams, YearSeries
+from dairypv.domain import YearSeries
 from dairypv.engine import _annuity, _utility, run_monte_carlo, run_simulation
 from dairypv.errors import CoverageGapError, ValidationError
+from conftest import make_params
 from reference import adoption_probability, agent_utility, net_present_value
-
-
-def make_params(**overrides):
-    base = dict(
-        pv_cost_min=5000.0,
-        pv_cost_max=15000.0,
-        maintenance_rate=0.02,
-        discount_rate=0.04,
-        total_farmers=18000,
-        start_year=2005,
-        end_year=2022,
-        horizon_years=20,
-        annual_generation_kwh=6000.0,
-        alpha=1.0,
-        beta=0.01,
-    )
-    base.update(overrides)
-    return ScenarioParams(**base)
 
 
 def flat_series(params, value):
     return YearSeries(params.start_year, [value] * (params.end_year - params.start_year + 1))
 
 
-class TestAdoptionProbability:
+class TestProbabilityKernel:
     def test_zero_utility_gives_half_beta(self):
         assert adoption_probability(0.0, alpha=3.7, beta=0.04, total_farmers=1234) == 0.02
 
@@ -70,7 +53,7 @@ class TestAdoptionProbability:
             assert p_scaled == pytest.approx(p, rel=1e-12)
 
 
-class TestStepYearDeterministic:
+class TestDeterministicRun:
     """Deterministic years through run_simulation's recurrence."""
 
     def test_hazard_draws_from_remaining_pool(self):
@@ -112,7 +95,7 @@ class TestStepYearDeterministic:
             assert record.new_adopters >= 0.0
 
 
-class TestStepYearStochastic:
+class TestStochasticRun:
     """One stochastic year, through one-year run_simulation scenarios."""
 
     def test_same_seed_gives_bit_identical_records(self):
@@ -180,7 +163,7 @@ class TestStepYearStochastic:
         assert (peak - cost_bytes) / (8 * engine._BLOCK) < 7.5
 
 
-class TestInitializeState:
+class TestStochasticPopulation:
     """Per-farmer PV costs drawn at the start of a stochastic run."""
 
     def test_costs_sampled_within_range_in_id_order(self):

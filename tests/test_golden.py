@@ -5,7 +5,7 @@ with a committed fixture under tests/golden/. Each render case passes a
 result to `render_result` directly, for outputs the CLI never prints: a
 calibration as CSV, a Monte Carlo summary as JSON, a one-replication
 summary (std exactly 0) and hand-built edge values (-0.0, the smallest
-subnormal, counts in e-notation). Stochastic cases pin the PCG64 draw
+subnormal, counts in e-notation). Stochastic cases pin the engine's draw
 stream, so they hold for one numpy build; tests/test_dispatch.py reruns
 them on each of its SIMD dispatch paths (see README). A case runs
 on the bundled scenario unless it names a `--config`; multi_block_150k.yaml
@@ -34,7 +34,7 @@ from dairypv import engine, io
 from dairypv.calibration import CalibrationTarget, calibrate
 from dairypv.cli import cli_main
 from dairypv.domain import SimulationResult, YearRecord
-from dairypv.engine import _probability_array, _utility, _yearly_inputs, run_monte_carlo
+from dairypv.engine import _yearly_inputs, run_monte_carlo
 from dairypv.io import (
     default_scenario_path,
     load_default_scenario,
@@ -42,6 +42,7 @@ from dairypv.io import (
     parse_target_observations,
     render_result,
 )
+from reference import stochastic_run
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = default_scenario_path().parent
@@ -215,38 +216,24 @@ def draw_margin(draws, probabilities):
     return float(np.min(np.abs(draws - probabilities) / probabilities, initial=np.inf))
 
 
-def replay(params, prices, subsidies, seed):
-    """(year, draws, probabilities, cumulative adopters) per year of the stochastic run
-    with this seed, from its PCG64 stream: one uniform cost per farmer, then each year
-    one draw per farmer who has not adopted, in id order; a farmer adopts iff draw < p."""
-    annuity, energy_prices, yearly_subsidies = _yearly_inputs(params, prices, subsidies)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
-    years = range(params.start_year, params.end_year + 1)
-    for year, energy_price, subsidy in zip(years, energy_prices, yearly_subsidies):
-        draws = rng.random(len(costs))
-        probabilities = _probability_array(
-            _utility(params, annuity, energy_price, costs, subsidy),
-            params.alpha, params.beta, params.total_farmers)
-        costs = costs[~(draws < probabilities)]
-        yield year, draws, probabilities, params.total_farmers - len(costs)
-
-
 @pytest.mark.parametrize("name", sorted(STOCHASTIC))
 def test_stochastic_draws_are_far_from_their_probabilities(name):
     config, seeds, column = STOCHASTIC[name]
     params, prices, subsidies, _ = load_scenario(config)
+    inputs = _yearly_inputs(params, prices, subsidies)
+    years = range(params.start_year, params.end_year + 1)
     near, curves = [], []
     for seed in seeds:
         curves.append([])
-        for year, draws, probabilities, cumulative in replay(params, prices, subsidies, seed):
+        for year, (_, probabilities, draws, cumulative) in zip(
+                years, stochastic_run(params, *inputs, seed)):
             margin = draw_margin(draws, probabilities)
             if margin < DRAW_MARGIN:
                 near.append(f"seed {seed}, year {year}: a draw is {margin:.2g} from its p")
             curves[-1].append(cumulative)
     with open(GOLDEN / name, encoding="utf-8", newline="") as handle:
         golden = [row[column] for row in csv.DictReader(handle)]
-    # the replay makes the golden decisions: its mean counts print as the file's
+    # the reference run makes the golden decisions: its mean counts print as the file's
     assert golden == [io._fmt_count(sum(counts) / len(counts)) for counts in zip(*curves)]
     assert not near, f"{name}: " + "; ".join(near)
 

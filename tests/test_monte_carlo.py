@@ -1,28 +1,15 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from dairypv.domain import ScenarioParams
+import conftest
 from dairypv.engine import _stochastic_years, _yearly_inputs, run_monte_carlo, run_simulation
 from dairypv.errors import ValidationError
 
-
-def make_params(**overrides):
-    base = dict(
-        pv_cost_min=5000.0,
-        pv_cost_max=15000.0,
-        maintenance_rate=0.02,
-        discount_rate=0.04,
-        total_farmers=300,
-        start_year=2005,
-        end_year=2022,
-        beta=0.04,
-        mode="stochastic",
-        seed=0,
-    )
-    base.update(overrides)
-    return ScenarioParams(**base)
+make_params = partial(conftest.make_params, total_farmers=300, beta=0.04, mode="stochastic",
+                      seed=0)
 
 
 def test_single_replication_degenerates_to_that_run(price_series, subsidy_series):

@@ -32,7 +32,7 @@ from dairypv.engine import (
     representative_utilities,
     run_simulation,
 )
-from reference import agent_utility, deterministic_curve
+from reference import agent_utility, deterministic_curve, stochastic_run
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -173,22 +173,12 @@ def piece_mean(values, block):
 
 
 def score_every_farmer(params, annuity, prices, subsidies, block):
-    """Reference run on whole arrays: every remaining farmer is scored and adopts iff draw < p.
-
-    Yields (mean utility, mean probability, new, cumulative) per year, the means
-    taken by piece_mean; once all have adopted, they are the midpoint farmer's.
-    """
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
-    cumulative = 0
-    for price, subsidy in zip(prices, subsidies):
-        scored = costs if len(costs) else np.array([params.midpoint_cost])
-        utilities = _utility(params, annuity, price, scored, subsidy)
-        p = _probability_array(utilities, params.alpha, params.beta, params.total_farmers)
-        adopts = rng.random(len(costs)) < p[:len(costs)]
-        costs = costs[~adopts]
-        new = int(np.count_nonzero(adopts))
-        cumulative += new
+    """The reference stochastic run as (mean utility, mean probability, new, cumulative)
+    per year, the means taken by piece_mean."""
+    prior = 0
+    for utilities, p, _, cumulative in stochastic_run(params, annuity, prices, subsidies,
+                                                      params.seed):
+        new, prior = cumulative - prior, cumulative
         yield piece_mean(utilities, block), piece_mean(p, block), float(new), float(cumulative)
 
 
