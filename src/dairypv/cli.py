@@ -1,11 +1,10 @@
 """Command-line entry points: run, calibrate, monte-carlo.
 
-Every command is one pipeline: cli_main loads the scenario, calls the
-command's function of (args, params, prices, subsidies), which returns the
-result, and writes that result once. The command functions do no I/O but
-one: calibrate reads its --target file itself. Results go to --out or
-stdout; all diagnostics go to stderr. Exit codes: 0 success, 1
-validation/parse/usage error, 2 runtime or calibration failure.
+Every command is one pipeline: cli_main loads the scenario (and the
+--target file, if given), calls the command's function of (args, scenario),
+which does no I/O and returns the result, and writes that result once.
+Results go to --out or stdout; all diagnostics go to stderr. Exit codes:
+0 success, 1 validation/parse/usage error, 2 runtime or calibration failure.
 """
 
 import argparse
@@ -16,8 +15,8 @@ from dataclasses import replace
 from .calibration import calibrate
 from .domain import ADOPTION_SEMANTICS, MODES
 from .engine import run_monte_carlo, run_simulation
-from .errors import CalibrationFailedError, DairyPvError
-from .io import load_scenario, read_target, render_result, write_result
+from .errors import CalibrationFailedError, DairyPvError, ValidationError
+from .io import load_scenario, render_result, write_result
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,19 +28,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1 if status else 0)
 
 
-def _run(args, params, prices, subsidies):
+def _run(args, scenario):
     overrides = {name: getattr(args, name) for name in ("mode", "seed", "adoption_semantics")
                  if getattr(args, name) is not None}
-    return run_simulation(replace(params, **overrides), prices, subsidies)
+    return run_simulation(replace(scenario.params, **overrides), scenario.prices,
+                          scenario.subsidies)
 
 
-def _calibrate(args, params, prices, subsidies):
-    target = read_target(args.target, params)
-    return calibrate(params, prices, subsidies, target, budget=args.budget)
+def _calibrate(args, scenario):
+    if scenario.target is None:
+        raise ValidationError(f"{args.config}: calibrate needs --target or a target_series")
+    return calibrate(*scenario, budget=args.budget)
 
 
-def _monte_carlo(args, params, prices, subsidies):
-    return run_monte_carlo(params, prices, subsidies, args.replications, args.seed)
+def _monte_carlo(args, scenario):
+    return run_monte_carlo(*scenario[:3], args.replications, args.seed)
 
 
 @functools.cache  # built on first use, then reused by every cli_main call
@@ -56,7 +57,7 @@ def build_parser():
         cmd = sub.add_parser(name, help=help, description=help)
         cmd.add_argument("--config", required=True, help="scenario YAML file")
         cmd.add_argument("--out", help="output file (default: stdout)")
-        cmd.set_defaults(func=func, **defaults)
+        cmd.set_defaults(func=func, target=None, **defaults)
         return cmd
 
     run = command("run", _run, "run one simulation")
@@ -68,7 +69,8 @@ def build_parser():
 
     cal = command("calibrate", _calibrate, "fit alpha/beta to observed adoption; JSON",
                   format="json")
-    cal.add_argument("--target", required=True, help="target CSV (year,cumulative_adopters)")
+    cal.add_argument("--target", help="target CSV (year,cumulative_adopters; "
+                     "default: the scenario's target_series)")
     cal.add_argument("--budget", type=int, default=2000,
                      help="max objective evaluations (default 2000)")
 
@@ -89,8 +91,7 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        params, prices, subsidies, _ = load_scenario(args.config)
-        result = args.func(args, params, prices, subsidies)
+        result = args.func(args, load_scenario(args.config, args.target))
         if args.out:
             write_result(result, args.format, args.out)
         else:

@@ -227,12 +227,14 @@ def read_target(path, params, loss="squared_error", named=None):
     return target
 
 
-def load_scenario(config_path):
+def load_scenario(config_path, target_path=None):
     """Load and fully validate a scenario bundle from a YAML config file.
 
     Series paths are resolved relative to the config file. Coverage against
     [start_year, end_year] is checked here so later runs cannot hit gaps.
-    Subsidy values outside the study range warn but do not fail.
+    Subsidy values outside the study range warn but do not fail. A given
+    target_path replaces the scenario's target_series, which is still
+    validated; target_loss applies to whichever target is returned.
     """
     config_path = Path(config_path)
     data, params = _read(config_path, _parse_scenario, error=ValidationError)
@@ -255,10 +257,11 @@ def load_scenario(config_path):
             stacklevel=2,
         )
 
-    target = None
+    target, loss = None, data.get("target_loss", "squared_error")
     if "target_series" in data:
-        target = read_target(base / data["target_series"], params,
-                             data.get("target_loss", "squared_error"), config_path)
+        target = read_target(base / data["target_series"], params, loss, config_path)
+    if target_path is not None:
+        target = read_target(target_path, params, loss)
 
     return LoadedScenario(params=params, prices=prices, subsidies=subsidies, target=target)
 

@@ -45,7 +45,8 @@ class TestCalibrationTarget:
             CalibrationTarget(observations=((2022, 441.0),), loss="rmse")
 
     def test_validate_against_params(self, default_params):
-        CalibrationTarget(observations=((2022, 441.0),)).validate_against(default_params)
+        for value in (441.0, float(default_params.total_farmers)):  # every farmer is valid
+            CalibrationTarget(observations=((2022, value),)).validate_against(default_params)
         with pytest.raises(ValidationError, match="2030"):
             CalibrationTarget(observations=((2030, 10.0),)).validate_against(default_params)
         with pytest.raises(ValidationError, match="outside"):

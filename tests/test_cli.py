@@ -3,15 +3,17 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
 import dairypv
+from dairypv.calibration import calibrate
 from dairypv.cli import cli_main
 from dairypv.engine import run_monte_carlo
-from dairypv.io import default_scenario_path, load_default_scenario
+from dairypv.io import default_scenario_path, load_default_scenario, render_result
 
 from conftest import write_scenario
 
@@ -280,6 +282,32 @@ class TestCalibrateCommand:
         assert cli_main(["run", "--config", str(fitted_config), "--out", str(out)]) == 0
         final = float(out.read_text().splitlines()[-1].split(",")[-1])
         assert abs(final - 441.0) <= 1.0
+
+    def test_target_defaults_to_the_scenarios_target_series(self, default_config, capsys):
+        assert cli_main(["calibrate", "--config", default_config]) == 0
+        golden = Path(__file__).parent / "golden" / "calibrate_target_2022.json"
+        assert capsys.readouterr().out == golden.read_text()
+
+    @pytest.mark.parametrize("given", [False, True], ids=["target_series", "target_flag"])
+    def test_scenario_target_loss_reaches_calibrate(self, tmp_path, capsys, given):
+        config = bundled_config_copy(tmp_path, target_loss="absolute_error")
+        flag = ["--target", str(default_scenario_path().parent / "target_2022.csv")]
+        assert cli_main(["calibrate", "--config", str(config), "--budget", "400",
+                         *(flag if given else [])]) == 0
+        params, prices, subsidies, target = load_default_scenario()
+        fit = calibrate(params, prices, subsidies, replace(target, loss="absolute_error"),
+                        budget=400)
+        squared = calibrate(params, prices, subsidies, target, budget=400)
+        assert capsys.readouterr().out == render_result(fit, "json")
+        assert fit != squared
+
+    def test_no_target_exits_1_naming_the_config(self, tmp_path, capsys):
+        config = bundled_config_copy(tmp_path)
+        config.write_text("".join(line for line in config.read_text().splitlines(True)
+                                  if not line.startswith("target_series:")))
+        assert cli_main(["calibrate", "--config", str(config)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {config}: calibrate needs --target or a target_series\n")
 
     def test_bad_budget_exits_1(self, default_config, capsys):
         target = str(default_scenario_path().parent / "target_2022.csv")

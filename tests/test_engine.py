@@ -309,3 +309,34 @@ def test_coverage_gap_fails_before_any_draw_or_grid_cell(default_bundle, monkeyp
     assert excinfo.value.missing_years == missing
     assert str(excinfo.value) == (f"{named} but the scenario needs 2005-2022; missing years: "
                                   + ", ".join(map(str, missing)))
+
+
+@pytest.mark.parametrize("entry", ["run", "monte-carlo"])
+def test_a_draw_equal_to_p_does_not_adopt(price_series, subsidy_series, monkeypatch, entry):
+    # a real stream hits draw == p with probability 0, so the draws and p are constructed:
+    # p is 0.25 for everyone, farmer 0 draws exactly 0.25 each year and the rest draw 0
+    p = 0.25
+
+    class ConstructedDraws:
+        def __init__(self, bit_generator):
+            pass
+
+        def uniform(self, low, high, size):
+            return np.full(size, low)
+
+        def random(self, size):
+            draws = np.zeros(size)
+            draws[:1] = p
+            return draws
+
+    monkeypatch.setattr(np.random, "Generator", ConstructedDraws)
+    monkeypatch.setattr(engine, "_probability_array", lambda u, *args: np.full(np.shape(u), p))
+    params = make_params(total_farmers=10, beta=0.5, mode="stochastic", seed=0)
+    if entry == "run":
+        result = run_simulation(params, price_series, subsidy_series)
+        curve = [record.cumulative_adopters for record in result.records]
+    else:
+        summary = run_monte_carlo(params, price_series, subsidy_series, replications=1,
+                                  base_seed=0)
+        curve = [row.mean for row in summary.rows]
+    assert curve == [9.0] * 18  # adopts iff draw < p: farmer 0 never does

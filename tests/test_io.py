@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dairypv.calibration import CalibrationResult
+from dairypv.calibration import CalibrationResult, CalibrationTarget
 from dairypv.domain import SimulationResult, YearRecord, YearSeries
 from dairypv.engine import run_monte_carlo
 from dairypv.errors import (
@@ -288,6 +288,17 @@ class TestLoadScenario:
         path = write_scenario(tmp_path, config={"target_series": "target.csv"})
         loaded = load_scenario(path)
         assert loaded.target.observations == ((2007, 50.0),)
+
+    def test_target_path_replaces_target_series_which_is_still_validated(self, tmp_path):
+        (tmp_path / "target.csv").write_text("year,cumulative_adopters\n2007,50\n")
+        (tmp_path / "given.csv").write_text("year,cumulative_adopters\n2006,20\n")
+        path = write_scenario(tmp_path, config={"target_series": "target.csv",
+                                                "target_loss": "absolute_error"})
+        loaded = load_scenario(path, tmp_path / "given.csv")
+        assert loaded.target == CalibrationTarget(((2006, 20.0),), loss="absolute_error")
+        (tmp_path / "target.csv").write_text("year,cumulative_adopters\n2030,50\n")
+        with pytest.raises(ValidationError, match=f"^{path}: target year 2030 outside"):
+            load_scenario(path, tmp_path / "given.csv")
 
     def test_bad_target_loss_names_config(self, tmp_path):
         (tmp_path / "target.csv").write_text("year,cumulative_adopters\n2007,50\n")

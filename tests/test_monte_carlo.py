@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import conftest
-from dairypv.engine import _stochastic_years, _yearly_inputs, run_monte_carlo, run_simulation
+from dairypv.engine import (YearStats, _stochastic_years, _yearly_inputs, run_monte_carlo,
+                            run_simulation)
 from dairypv.errors import ValidationError
 
 make_params = partial(conftest.make_params, total_farmers=300, beta=0.04, mode="stochastic",
@@ -127,3 +128,14 @@ def test_seed_wraps_at_uint64(price_series, subsidy_series):
         assert last != wrapped
         for row, a, b in zip(summary.rows, last, wrapped):
             assert (row.min, row.max) == (min(a, b), max(a, b))
+
+
+@pytest.mark.parametrize("stats, message", [
+    ((1.0, -1.0, 0.0, 2.0), "std must be >= 0, got -1.0"),
+    ((1.0, 0.0, 2.0, 3.0), "expected min <= mean <= max, got 2.0, 1.0, 3.0"),
+    ((4.0, 0.0, 2.0, 3.0), "expected min <= mean <= max, got 2.0, 4.0, 3.0"),
+], ids=["negative_std", "mean_below_min", "mean_above_max"])
+def test_year_stats_rejects_an_impossible_spread(stats, message):
+    # no run can build these: the checks guard the constructor itself
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        YearStats(2005, *stats)
