@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import yaml
 
-from .calibration import CalibrationResult, CalibrationTarget
+from .calibration import LOSS_KINDS, CalibrationResult, CalibrationTarget
 from .domain import ScenarioParams, SimulationResult, YearSeries
 from .engine import MonteCarloSummary
 from .errors import (
@@ -188,7 +188,7 @@ def _parse_scenario(stream):
     """Return (mapping, ScenarioParams) from scenario YAML.
 
     A key is required when its ScenarioParams field has no default; no key
-    may be null.
+    may be null, and target_loss must be one of LOSS_KINDS.
     """
     data = yaml.load(stream, Loader=_UniqueKeyLoader)
     if not isinstance(data, dict):
@@ -206,6 +206,8 @@ def _parse_scenario(stream):
             raise ValidationError(f"key {key!r} must not be null")
         if key in _NON_PARAM_KEYS and not isinstance(value, str):
             raise ValidationError(f"key {key!r} must be a string, got {value!r}")
+    if data.get("target_loss", LOSS_KINDS[0]) not in LOSS_KINDS:
+        raise ValidationError(f"loss must be one of {LOSS_KINDS}, got {data['target_loss']!r}")
     return data, ScenarioParams(**{k: v for k, v in data.items() if k in params})
 
 

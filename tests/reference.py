@@ -8,7 +8,8 @@ over all years, then the yearly recurrence; `run` (through `engine._hazard`)
 and calibration's scalar poll scorer `_Objective.loss` must give its bits.
 The stochastic run scores every remaining farmer at once, from the same
 PCG64 stream as the engine; the engine, which scores pieces of farmers,
-must make the same decisions.
+must make the same decisions. The adoption law is what a stochastic run's
+counts must follow in distribution, by quadrature over the cost range.
 Inputs are not checked here; the program checks them at its boundaries
 (ScenarioParams, YearSeries, the loaders).
 """
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from dairypv.calibration import _Objective
-from dairypv.engine import _probability_array, _utility
+from dairypv.engine import _probability_array, _utility, _yearly_inputs
 
 
 def annual_savings(generation_kwh, energy_price, pv_cost, maintenance_rate):
@@ -95,6 +96,24 @@ def stochastic_run(params, annuity, energy_prices, yearly_subsidies, seed):
         draws = rng.random(len(costs))
         costs = costs[~(draws < probabilities[:len(costs)])]
         yield utilities, probabilities, draws, params.total_farmers - len(costs)
+
+
+def adoption_law(params, prices, subsidies, nodes=16):
+    """q̄_t per year: the chance that a farmer has adopted by year t.
+
+    q̄_t = E_c[1 - prod_{s<=t}(1 - p_s(c))] over c ~ Uniform[pv_cost_min, pv_cost_max],
+    by Gauss-Legendre quadrature with the engine kernels on a (nodes, 1) cost axis.
+    Costs and draws are independent across farmers, so a stochastic run's cumulative
+    count in year t is Binomial(total_farmers, q̄_t).
+    """
+    annuity, energy_prices, yearly_subsidies = _yearly_inputs(params, prices, subsidies)
+    points, weights = np.polynomial.legendre.leggauss(nodes)
+    half_range = (params.pv_cost_max - params.pv_cost_min) / 2.0
+    costs = (params.midpoint_cost + half_range * points)[:, None]
+    probabilities = _probability_array(
+        _utility(params, annuity, energy_prices, costs, yearly_subsidies),
+        params.alpha, params.beta, params.total_farmers)
+    return weights @ (1.0 - np.cumprod(1.0 - probabilities, axis=1)) / 2.0
 
 
 def evaluate_loss(candidate, params, prices, subsidies, target):

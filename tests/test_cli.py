@@ -88,7 +88,9 @@ class TestRunCommand:
         (None, "- 1\n- 2\n", "scenario file must be a flat key/value mapping"),
         (None, "5\n", "scenario file must be a flat key/value mapping"),
         ({"price_series": 5}, None, "key 'price_series' must be a string, got 5"),
-    ], ids=["list", "scalar", "int_series_path"])
+        ({"target_loss": "rmse"}, None,
+         "loss must be one of ('squared_error', 'absolute_error'), got 'rmse'"),
+    ], ids=["list", "scalar", "int_series_path", "bad_target_loss"])
     def test_scenario_of_wrong_shape_exits_1_naming_file(self, tmp_path, capsys, config, text,
                                                          message):
         path = write_scenario(tmp_path, config=config)
@@ -239,9 +241,10 @@ def test_stochastic_mean_past_the_float_range_exits_1_naming_the_year(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run"],
     ["monte-carlo", "--replications", "2", "--seed", "3"],
     ["calibrate", "--target", str(default_scenario_path().parent / "target_2022.csv")],
-], ids=["monte-carlo", "calibrate"])
+], ids=["run", "monte-carlo", "calibrate"])
 def test_short_series_exit_1_naming_the_price_file(tmp_path, argv):
     # both series lack 2005-2006: the price file is read, and named, first
     for name, header in (("prices.csv", "year,price_eur_per_kwh"),

@@ -1,11 +1,11 @@
 """Byte-exact output contract: CLI results on the bundled scenario.
 
-Each CLI case runs `cli_main` with `--out` and compares the written bytes
-with a committed fixture under tests/golden/. Each render case passes a
-result to `render_result` directly, for outputs the CLI never prints: a
-calibration as CSV, a Monte Carlo summary as JSON, a one-replication
-summary (std exactly 0) and hand-built edge values (-0.0, the smallest
-subnormal, counts in e-notation). Stochastic cases pin the engine's draw
+Each CLI case runs `cli_main` on both output routes, `--out` and stdout,
+and compares each route's bytes with a committed fixture under tests/golden/.
+Each render case passes a result to `render_result` directly: a calibration
+as CSV, a Monte Carlo summary as JSON, a one-replication summary (std
+exactly 0; stdout pins its CSV too) and hand-built edge values (-0.0, the
+smallest subnormal, counts in e-notation). Stochastic cases pin the engine's draw
 stream, so they hold for one numpy build; tests/test_dispatch.py reruns
 them on each of its SIMD dispatch paths (see README). A case runs
 on the bundled scenario unless it names a `--config`; multi_block_150k.yaml
@@ -60,6 +60,9 @@ CASES = {
     "calibrate_target_2022_grid.json": ["calibrate", "--target", str(DATA / "target_2022.csv"),
                                         "--budget", "400"],
 }
+# every CLI case, and one whose fixture a render case writes
+STDOUT_CASES = {**CASES, "monte_carlo_r1_seed5.csv": ["monte-carlo", "--replications", "1",
+                                                      "--seed", "5"]}
 
 
 def _calibration():
@@ -99,12 +102,16 @@ RENDER_CASES = {
 }
 
 
-def _render(argv, out):
+def _argv(argv):
+    """argv with the bundled scenario's --config unless it names one."""
     command, *rest = argv
     if "--config" not in rest:
         rest = ["--config", str(default_scenario_path()), *rest]
-    code = cli_main([command, *rest, "--out", str(out)])
-    assert code == 0
+    return [command, *rest]
+
+
+def _render(argv, out):
+    assert cli_main([*_argv(argv), "--out", str(out)]) == 0
     return out.read_bytes()
 
 
@@ -116,6 +123,13 @@ def _render_direct(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_bytes(name, tmp_path):
     assert _render(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_stdout_matches_golden_bytes(name, capsys):
+    assert cli_main(_argv(STDOUT_CASES[name])) == 0
+    out, err = capsys.readouterr()
+    assert (out.encode("utf-8"), err) == ((GOLDEN / name).read_bytes(), "")
 
 
 @pytest.mark.parametrize("name", sorted(RENDER_CASES))

@@ -302,10 +302,13 @@ class TestLoadScenario:
 
     def test_bad_target_loss_names_config(self, tmp_path):
         (tmp_path / "target.csv").write_text("year,cumulative_adopters\n2007,50\n")
-        path = write_scenario(tmp_path, config={"target_series": "target.csv",
-                                                "target_loss": "rmse"})
-        with pytest.raises(ValidationError, match=f"^{path}: loss must be one of"):
-            load_scenario(path)
+        # read from target_series, or given as a path with no target_series: the key is
+        # the config's either way
+        for config, given in (({"target_series": "target.csv"}, None),
+                              ({}, tmp_path / "target.csv")):
+            path = write_scenario(tmp_path, config={**config, "target_loss": "rmse"})
+            with pytest.raises(ValidationError, match=f"^{path}: loss must be one of"):
+                load_scenario(path, given)
 
     def test_unpacks_as_tuple(self, tmp_path):
         path = write_scenario(tmp_path)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -8,13 +9,17 @@ import conftest
 from dairypv.engine import (YearStats, _stochastic_years, _yearly_inputs, run_monte_carlo,
                             run_simulation)
 from dairypv.errors import ValidationError
+from reference import adoption_law
 
 make_params = partial(conftest.make_params, total_farmers=300, beta=0.04, mode="stochastic",
                       seed=0)
 
 
-def test_single_replication_degenerates_to_that_run(price_series, subsidy_series):
-    params = make_params()
+# at 150,000 farmers a stochastic run scores five pieces of at most engine._BLOCK
+@pytest.mark.parametrize("total_farmers", [300, 150_000])
+def test_single_replication_degenerates_to_that_run(price_series, subsidy_series,
+                                                    total_farmers):
+    params = make_params(total_farmers=total_farmers)
     summary = run_monte_carlo(params, price_series, subsidy_series,
                               replications=1, base_seed=77)
     single = run_simulation(replace(params, seed=77), price_series, subsidy_series)
@@ -56,6 +61,46 @@ def test_mean_tracks_deterministic_expectation(price_series, subsidy_series):
         se = row.std / np.sqrt(200)
         assert se > 0
         assert abs(row.mean - record.cumulative_adopters) < 4.0 * se
+
+
+# Each year's count is Binomial(N, q̄_t) (reference.adoption_law). The bound, fixed
+# before the points, counts and seeds below: a mean within 4.5 standard errors of N·q̄_t
+# and a std inside the chi-square interval at the same two-sided tail, 6.8e-6, which
+# Bonferroni over 18 years keeps near 1.2e-4 per statistic.
+LAW_Z = 4.5
+LAW_POINTS = {
+    # the bundled scenario at calibrate's fit: N·q̄_2022 = 416.61, the midpoint farmer's 441
+    "bundled_fit": (dict(total_farmers=18000, alpha=10.248025432877382,
+                         beta=0.0014826977604563544), 400, 1),
+    # a wide cost range at 300 farmers: q̄_2022 = 0.41, the midpoint farmer's 0.46
+    "wide_costs": (dict(pv_cost_min=1000.0, pv_cost_max=20000.0, alpha=0.1), 2000, 2),
+}
+
+
+def chi2_quantile(k, z):
+    """Wilson-Hilferty: the chi-square(k) quantile at the standard normal quantile z."""
+    return k * (1.0 - 2.0 / (9 * k) + z * math.sqrt(2.0 / (9 * k))) ** 3
+
+
+@pytest.mark.parametrize("point", sorted(LAW_POINTS))
+def test_counts_follow_the_binomial_law(price_series, subsidy_series, point):
+    overrides, replications, base_seed = LAW_POINTS[point]
+    params = make_params(**overrides)
+    q = adoption_law(params, price_series, subsidy_series)
+    # here 16 nodes agree with 64 to 1e-9, far below a sampling error
+    assert np.abs(adoption_law(params, price_series, subsidy_series, nodes=64) - q).max() < 1e-9
+    summary = run_monte_carlo(params, price_series, subsidy_series, replications, base_seed)
+    mean = np.array([row.mean for row in summary.rows])
+    std = np.array([row.std for row in summary.rows])
+    n = params.total_farmers
+    sd = np.sqrt(n * q * (1.0 - q))
+    # run_monte_carlo's std has divisor R: R·std²/sd² is chi-square with R - 1 degrees
+    # for normal counts; the binomial's excess kurtosis (at most 0.15 here) widens it ~4%
+    lo, hi = (math.sqrt(chi2_quantile(replications - 1, z) / replications)
+              for z in (-LAW_Z, LAW_Z))
+    z_mean = (mean - n * q) / (sd / math.sqrt(replications))
+    assert np.abs(z_mean).max() < LAW_Z, z_mean
+    assert ((lo * sd < std) & (std < hi * sd)).all(), std / sd
 
 
 def test_replications_must_be_positive(price_series, subsidy_series):
