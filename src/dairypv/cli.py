@@ -10,6 +10,7 @@ Results go to --out or stdout; all diagnostics go to stderr. Exit codes:
 import argparse
 import functools
 import sys
+import warnings
 from dataclasses import replace
 
 from .calibration import calibrate
@@ -91,7 +92,9 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = args.func(args, load_scenario(args.config, args.target))
+        with warnings.catch_warnings():  # a warning is one stderr line, like an error
+            warnings.showwarning = lambda w, *_: print(f"warning: {w}", file=sys.stderr)
+            result = args.func(args, load_scenario(args.config, args.target))
         if args.out:
             write_result(result, args.format, args.out)
         else:

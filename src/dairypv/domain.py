@@ -163,8 +163,6 @@ class ScenarioParams:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed is not None and not 0 <= self.seed <= _UINT64_MAX:
             raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if self.mode == "stochastic" and self.seed is None:
-            raise ValidationError("seed is required when mode is 'stochastic'")
 
     @property
     def midpoint_cost(self):

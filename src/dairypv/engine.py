@@ -209,6 +209,8 @@ def run_simulation(params, prices, subsidies):
             levels = [p * n for p in probabilities]
             new = [max(0.0, level - prior) for level, prior in zip(levels, [0.0, *levels])]
         columns = (utilities.tolist(), probabilities, new, levels)
+    elif params.seed is None:  # the one reader of the seed checks it, before any draw
+        raise ValidationError("seed is required when mode is 'stochastic'")
     else:
         columns = zip(*_stochastic_run(params, *inputs))
     years = range(params.start_year, params.end_year + 1)

@@ -156,31 +156,6 @@ class TestCalibrate:
         result = calibrate(default_params, price_series, subsidy_series, target, budget=1500)
         assert result.achieved_loss <= grid_best[0]
 
-    def test_deterministic(self, default_params, price_series, subsidy_series):
-        target = CalibrationTarget(observations=((2022, 441.0),))
-        a = calibrate(default_params, price_series, subsidy_series, target, budget=900)
-        b = calibrate(default_params, price_series, subsidy_series, target, budget=900)
-        assert a == b
-
-    def test_single_observation_hits_441(self, default_params, price_series, subsidy_series):
-        target = CalibrationTarget(observations=((2022, 441.0),))
-        result = calibrate(default_params, price_series, subsidy_series, target)
-        fitted = replace(default_params, alpha=result.alpha, beta=result.beta)
-        last = run_simulation(fitted, price_series, subsidy_series).records[-1]
-        assert abs(last.cumulative_adopters - 441.0) <= 1.0
-
-    def test_synthetic_round_trip_recovers_beta(
-        self, default_params, price_series, subsidy_series
-    ):
-        true = replace(default_params, alpha=1.5, beta=0.02)
-        result = run_simulation(true, price_series, subsidy_series)
-        observations = tuple((r.year, r.cumulative_adopters) for r in result.records)
-        target = CalibrationTarget(observations=observations)
-        fit = calibrate(default_params, price_series, subsidy_series, target, budget=3000)
-        scale = sum(v * v for _, v in observations)
-        assert fit.achieved_loss < 1e-4 * scale
-        assert fit.beta == pytest.approx(0.02, rel=0.05)
-
     def test_target_validated_against_scenario(
         self, default_params, price_series, subsidy_series
     ):

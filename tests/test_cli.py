@@ -24,20 +24,6 @@ def default_config():
 
 
 class TestRunCommand:
-    def test_happy_path_writes_csv_to_stdout(self, default_config, capsys):
-        code = cli_main(["run", "--config", default_config])
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        assert code == 0
-        assert lines[0].startswith("year,energy_price")
-        assert len(lines) == 19  # header + 18 years
-
-    def test_json_format(self, default_config, capsys):
-        code = cli_main(["run", "--config", default_config, "--format", "json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["records"]) == 18
-
     def test_missing_config_exits_1_and_names_path(self, capsys):
         code = cli_main(["run", "--config", "does/not/exist.yaml"])
         err = capsys.readouterr().err
@@ -51,17 +37,6 @@ class TestRunCommand:
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert cli_main(["explode"]) == 1
-
-    def test_mode_and_seed_overrides(self, default_config, tmp_path, capsys):
-        code = cli_main([
-            "run", "--config", default_config, "--mode", "stochastic", "--seed", "42",
-            "--out", str(tmp_path / "stoch.csv"),
-        ])
-        assert code == 0
-        text = (tmp_path / "stoch.csv").read_text()
-        # stochastic counts are whole numbers of farmers
-        final = text.splitlines()[-1].split(",")[-1]
-        assert float(final) == int(float(final))
 
     def test_duplicate_scenario_key_exits_1(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
@@ -108,10 +83,13 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: boom\n"
 
     def test_stochastic_without_seed_is_validation_error(self, tmp_path, capsys):
+        # stochastic by --mode, or by the scenario's mode
         path = write_scenario(tmp_path)
-        code = cli_main(["run", "--config", str(path), "--mode", "stochastic"])
-        assert code == 1
-        assert "seed" in capsys.readouterr().err
+        seedless = write_scenario(tmp_path, config={"mode": "stochastic"}, name="seedless.yaml")
+        for argv in (["--config", str(path), "--mode", "stochastic"], ["--config", str(seedless)]):
+            assert cli_main(["run", *argv]) == 1
+            assert capsys.readouterr() == (
+                "", "error: seed is required when mode is 'stochastic'\n")
 
     def test_horizon_past_the_last_calendar_year_exits_1_before_any_work(self, tmp_path,
                                                                          capsys):
@@ -122,14 +100,6 @@ class TestRunCommand:
         assert code == 1
         assert "horizon_years must be in 0-9999" in capsys.readouterr().err
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
-
-    def test_semantics_override(self, default_config, tmp_path):
-        out_h = tmp_path / "hazard.csv"
-        out_l = tmp_path / "literal.csv"
-        assert cli_main(["run", "--config", default_config, "--out", str(out_h)]) == 0
-        assert cli_main(["run", "--config", default_config, "--semantics", "literal",
-                         "--out", str(out_l)]) == 0
-        assert out_h.read_bytes() != out_l.read_bytes()
 
     def test_out_in_missing_directory_names_out_path(self, default_config, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
@@ -147,13 +117,6 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
         assert not any(out.iterdir())
-
-    def test_repeat_invocations_byte_identical(self, default_config, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            assert cli_main(["run", "--config", default_config, "--mode", "stochastic",
-                             "--seed", "7", "--out", str(out)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 def run_cli(*argv):
@@ -177,6 +140,16 @@ def test_kernel_overflow_prints_nothing_on_stderr(tmp_path, argv):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert len(proc.stdout.splitlines()) == 4  # header + 3 years
+
+
+def test_subsidy_outside_the_study_range_warns_on_one_stderr_line(tmp_path, capsys):
+    subsidies = "year,subsidy_eur\n2005,500\n2006,1500\n2007,2000\n"
+    config = write_scenario(tmp_path, subsidies=subsidies)
+    proc = run_cli("run", "--config", str(config))
+    assert cli_main(["run", "--config", str(config)]) == 0
+    assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
+    assert proc.stderr == (f"warning: {tmp_path / 'subsidies.csv'}: subsidy outside the study "
+                           "range 1000-3500 EUR in years: 2005\n")
 
 
 @pytest.mark.parametrize("horizon, annuity", [(153, "1.0101010101008717e+306"), (200, "inf")],
@@ -259,6 +232,21 @@ def test_short_series_exit_1_naming_the_price_file(tmp_path, argv):
     assert proc.stderr == (
         f"error: {tmp_path / 'prices.csv'}: price series covers 2007-2022 but the scenario "
         "needs 2005-2022; missing years: 2005, 2006\n")
+
+
+@pytest.mark.parametrize("argv, bundled", [
+    (["run", "--seed", "5"], ["--mode", "stochastic"]),
+    (["monte-carlo", "--replications", "1", "--seed", "5"], []),
+    (["calibrate", "--budget", "400"], []),
+], ids=["run", "monte-carlo", "calibrate"])
+def test_seedless_stochastic_scenario_serves_every_command(tmp_path, capsys, argv, bundled):
+    # only a stochastic run reads the seed, which run's --seed gives it;
+    # monte-carlo and calibrate read neither the mode nor the seed
+    assert cli_main([*argv, *bundled, "--config", str(default_scenario_path())]) == 0
+    expected = capsys.readouterr()
+    config = bundled_config_copy(tmp_path, mode="stochastic")
+    assert cli_main([*argv, "--config", str(config)]) == 0
+    assert capsys.readouterr() == expected
 
 
 def bundled_config_copy(tmp_path, **overrides):
@@ -360,33 +348,8 @@ class TestCalibrateCommand:
         assert proc.stderr == ("calibration failed: no grid point produced a finite loss; "
                                "calibration cannot proceed\n")
 
-    def test_out_file(self, default_config, tmp_path):
-        target = str(default_scenario_path().parent / "target_2022.csv")
-        out = tmp_path / "fit.json"
-        code = cli_main(["calibrate", "--config", default_config, "--target", target,
-                         "--budget", "400", "--out", str(out)])
-        assert code == 0
-        assert "alpha" in json.loads(out.read_text())
-
 
 class TestMonteCarloCommand:
-    def test_summary_on_stdout(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, config={"total_farmers": 100})
-        code = cli_main(["monte-carlo", "--config", str(path),
-                         "--replications", "5", "--seed", "3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.splitlines()[0].startswith("year,mean_cumulative")
-        assert len(out.splitlines()) == 4  # header + 3 years
-
-    def test_identical_invocations_identical_summaries(self, tmp_path):
-        path = write_scenario(tmp_path, config={"total_farmers": 100})
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            assert cli_main(["monte-carlo", "--config", str(path), "--replications", "5",
-                             "--seed", "3", "--out", str(out)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_bad_replications_exit_1(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         code = cli_main(["monte-carlo", "--config", str(path),

@@ -68,11 +68,6 @@ class TestScenarioParams:
         assert str(excinfo.value) == (
             f"{field} must be finite, got an integer too large for a float")
 
-    def test_stochastic_mode_requires_seed(self):
-        with pytest.raises(ValidationError, match="seed"):
-            make_params(mode="stochastic")
-        make_params(mode="stochastic", seed=7)  # ok
-
     def test_digest_is_stable_and_distinguishes_params(self):
         a = make_params()
         b = make_params()

@@ -32,25 +32,6 @@ class TestProbabilityKernel:
         p = adoption_probability(-1e12, alpha=1.0, beta=0.05, total_farmers=18000)
         assert 0.0 < p < 1e-9
 
-    def test_huge_positive_utility_stays_below_beta(self):
-        p = adoption_probability(1e12, alpha=1.0, beta=0.05, total_farmers=18000)
-        assert 0.0 < p < 0.05
-
-    def test_bounds_monotonicity_and_scale_identity(self):
-        rng = np.random.default_rng(21)
-        for _ in range(500):
-            alpha = float(10.0 ** rng.uniform(-3, 2))
-            beta = float(10.0 ** rng.uniform(-6, 0))
-            n = int(rng.integers(1, 10**6))
-            x = float(rng.uniform(-25.0, 25.0))
-            eu = x * n / alpha
-            p = adoption_probability(eu, alpha, beta, n)
-            assert 0.0 < p < beta
-            eu2 = (x + 0.01) * n / alpha
-            assert adoption_probability(eu2, alpha, beta, n) > p
-            k = float(10.0 ** rng.uniform(-3, 3))
-            p_scaled = adoption_probability(k * eu, alpha / k, beta, n)
-            assert p_scaled == pytest.approx(p, rel=1e-12)
 
 
 class TestDeterministicRun:
@@ -97,12 +78,6 @@ class TestDeterministicRun:
 
 class TestStochasticRun:
     """One stochastic year, through one-year run_simulation scenarios."""
-
-    def test_same_seed_gives_bit_identical_records(self):
-        params = make_params(mode="stochastic", seed=123, beta=0.05, end_year=2005)
-        prices, subsidies = flat_series(params, 0.25), flat_series(params, 3000.0)
-        first = run_simulation(params, prices, subsidies)
-        assert run_simulation(params, prices, subsidies) == first
 
     def test_vectorized_utilities_match_per_agent_route(self):
         costs = np.random.default_rng(5).uniform(0.0, 40000.0, size=50)
@@ -199,17 +174,6 @@ class TestStochasticPopulation:
 
 
 class TestRunSimulation:
-    def test_one_record_per_year(self, default_params, price_series, subsidy_series):
-        result = run_simulation(default_params, price_series, subsidy_series)
-        assert len(result.records) == 18
-        assert [r.year for r in result.records] == list(range(2005, 2023))
-        assert result.params_digest == default_params.digest
-
-    def test_deterministic_mode_is_pure(self, default_params, price_series, subsidy_series):
-        a = run_simulation(default_params, price_series, subsidy_series)
-        b = run_simulation(default_params, price_series, subsidy_series)
-        assert a == b
-
     def test_hazard_run_computes_its_exponentials_once(self, default_params, price_series,
                                                        subsidy_series, monkeypatch):
         # the hazard levels come from the probability column, not from a second exp pass
@@ -230,53 +194,16 @@ class TestRunSimulation:
         result = run_simulation(params, price_series, subsidy_series)
         assert result.records[-1].cumulative_adopters < 1e-3
 
-    def test_beta_zero_rejected_at_validation(self):
-        with pytest.raises(ValidationError, match="beta"):
-            make_params(beta=0.0)
+    def test_stochastic_mode_requires_seed(self, price_series, subsidy_series, monkeypatch):
+        # only a stochastic run reads the seed, so a seedless stochastic scenario loads
+        params = make_params(mode="stochastic")
 
-    def test_coverage_gap_fails_fast(self, default_params):
-        short_prices = YearSeries(2010, [0.2] * 13)
-        subsidies = flat_series(default_params, 2000.0)
-        with pytest.raises(CoverageGapError) as excinfo:
-            run_simulation(default_params, short_prices, subsidies)
-        assert excinfo.value.missing_years == tuple(range(2005, 2010))
-        assert "2005" in str(excinfo.value)
+        def no_draw(*args):
+            raise AssertionError("a draw started before the seed check")
 
-    def test_hazard_cumulative_monotone_and_bounded_randomized(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            start = int(rng.integers(1990, 2020))
-            span = int(rng.integers(1, 20))
-            params = make_params(
-                pv_cost_min=float(rng.uniform(0, 10000)),
-                pv_cost_max=float(rng.uniform(10000, 40000)),
-                maintenance_rate=float(rng.uniform(0, 0.4)),
-                discount_rate=float(rng.uniform(-0.4, 0.4)),
-                total_farmers=int(rng.integers(1, 100000)),
-                start_year=start,
-                end_year=start + span,
-                horizon_years=int(rng.integers(0, 40)),
-                annual_generation_kwh=float(rng.uniform(0, 20000)),
-                alpha=float(10.0 ** rng.uniform(-3, 2)),
-                beta=float(10.0 ** rng.uniform(-5, 0)),
-            )
-            years = range(span + 1)
-            prices = YearSeries(start, [float(rng.uniform(0, 1)) for _ in years])
-            subsidies = YearSeries(start, [float(rng.uniform(0, 5000)) for _ in years])
-            result = run_simulation(params, prices, subsidies)
-            previous = 0.0
-            for record in result.records:
-                assert record.cumulative_adopters >= previous
-                assert record.cumulative_adopters <= params.total_farmers
-                previous = record.cumulative_adopters
-
-    def test_stochastic_run_is_reproducible(self, price_series, subsidy_series):
-        params = make_params(mode="stochastic", seed=42, total_farmers=500, beta=0.05)
-        a = run_simulation(params, price_series, subsidy_series)
-        b = run_simulation(params, price_series, subsidy_series)
-        assert a == b
-        final = a.records[-1].cumulative_adopters
-        assert final == float(int(final))  # integer counts
+        monkeypatch.setattr(np.random, "PCG64", no_draw)
+        with pytest.raises(ValidationError, match="^seed is required when mode is 'stochastic'$"):
+            run_simulation(params, price_series, subsidy_series)
 
 
 @pytest.mark.parametrize("short, named, missing", [

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from dairypv import engine, io
-from dairypv.calibration import CalibrationTarget, calibrate
+from dairypv.calibration import calibrate
 from dairypv.cli import cli_main
 from dairypv.domain import SimulationResult, YearRecord
 from dairypv.engine import _yearly_inputs, run_monte_carlo
@@ -39,7 +39,6 @@ from dairypv.io import (
     default_scenario_path,
     load_default_scenario,
     load_scenario,
-    parse_target_observations,
     render_result,
 )
 from reference import stochastic_run
@@ -66,10 +65,7 @@ STDOUT_CASES = {**CASES, "monte_carlo_r1_seed5.csv": ["monte-carlo", "--replicat
 
 
 def _calibration():
-    params, prices, subsidies, _ = load_default_scenario()
-    with open(DATA / "target_2022.csv", "r", encoding="utf-8", newline="") as handle:
-        target = CalibrationTarget(observations=tuple(parse_target_observations(handle)))
-    return calibrate(params, prices, subsidies, target, budget=2000)
+    return calibrate(*load_default_scenario(), budget=2000)
 
 
 def _monte_carlo(replications, seed):

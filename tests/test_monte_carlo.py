@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import conftest
-from dairypv.engine import (YearStats, _stochastic_years, _yearly_inputs, run_monte_carlo,
-                            run_simulation)
+from dairypv.calibration import CalibrationResult
+from dairypv.engine import (MonteCarloSummary, YearStats, _stochastic_years, _yearly_inputs,
+                            run_monte_carlo, run_simulation)
 from dairypv.errors import ValidationError
 from reference import adoption_law
 
@@ -27,40 +28,6 @@ def test_single_replication_degenerates_to_that_run(price_series, subsidy_series
         assert row.mean == record.cumulative_adopters
         assert row.std == 0.0
         assert row.min == row.max == row.mean
-
-
-def test_same_base_seed_gives_identical_summary(price_series, subsidy_series):
-    params = make_params()
-    a = run_monte_carlo(params, price_series, subsidy_series, replications=20, base_seed=5)
-    b = run_monte_carlo(params, price_series, subsidy_series, replications=20, base_seed=5)
-    assert a == b
-
-
-def test_row_invariants_hold(price_series, subsidy_series):
-    params = make_params()
-    summary = run_monte_carlo(params, price_series, subsidy_series,
-                              replications=30, base_seed=9)
-    assert summary.replications == 30 and summary.base_seed == 9
-    assert [row.year for row in summary.rows] == list(range(2005, 2023))
-    for row in summary.rows:
-        assert row.min <= row.mean <= row.max
-        assert row.std >= 0.0
-
-
-def test_mean_tracks_deterministic_expectation(price_series, subsidy_series):
-    # homogeneous agents: per-year probability matches the representative
-    # agent, so the Monte Carlo mean is an unbiased estimate of the
-    # deterministic hazard curve
-    params = make_params(pv_cost_min=10000.0, pv_cost_max=10000.0, total_farmers=400)
-    det = run_simulation(
-        replace(params, mode="deterministic", seed=None), price_series, subsidy_series
-    )
-    summary = run_monte_carlo(params, price_series, subsidy_series,
-                              replications=200, base_seed=31)
-    for row, record in zip(summary.rows, det.records):
-        se = row.std / np.sqrt(200)
-        assert se > 0
-        assert abs(row.mean - record.cumulative_adopters) < 4.0 * se
 
 
 # Each year's count is Binomial(N, q̄_t) (reference.adoption_law). The bound, fixed
@@ -152,9 +119,10 @@ def test_numpy_integer_arguments_are_stored_as_int(price_series, subsidy_series)
 def test_reads_neither_mode_nor_seed(price_series, subsidy_series):
     # replication r runs seed base_seed + r whatever the scenario's mode and seed
     stochastic = make_params(seed=123)
-    deterministic = replace(stochastic, mode="deterministic", seed=None)
-    assert (run_monte_carlo(deterministic, price_series, subsidy_series, 3, 1)
-            == run_monte_carlo(stochastic, price_series, subsidy_series, 3, 1))
+    summary = run_monte_carlo(stochastic, price_series, subsidy_series, 3, 1)
+    for params in (replace(stochastic, mode="deterministic", seed=None),
+                   replace(stochastic, seed=None)):
+        assert run_monte_carlo(params, price_series, subsidy_series, 3, 1) == summary
 
 
 def test_seed_wraps_at_uint64(price_series, subsidy_series):
@@ -175,12 +143,15 @@ def test_seed_wraps_at_uint64(price_series, subsidy_series):
             assert (row.min, row.max) == (min(a, b), max(a, b))
 
 
-@pytest.mark.parametrize("stats, message", [
-    ((1.0, -1.0, 0.0, 2.0), "std must be >= 0, got -1.0"),
-    ((1.0, 0.0, 2.0, 3.0), "expected min <= mean <= max, got 2.0, 1.0, 3.0"),
-    ((4.0, 0.0, 2.0, 3.0), "expected min <= mean <= max, got 2.0, 4.0, 3.0"),
-], ids=["negative_std", "mean_below_min", "mean_above_max"])
-def test_year_stats_rejects_an_impossible_spread(stats, message):
-    # no run can build these: the checks guard the constructor itself
+@pytest.mark.parametrize("constructor, fields, message", [
+    (YearStats, (2005, 1.0, -1.0, 0.0, 2.0), "std must be >= 0, got -1.0"),
+    (YearStats, (2005, 1.0, 0.0, 2.0, 3.0), "expected min <= mean <= max, got 2.0, 1.0, 3.0"),
+    (YearStats, (2005, 4.0, 0.0, 2.0, 3.0), "expected min <= mean <= max, got 2.0, 4.0, 3.0"),
+    (MonteCarloSummary, (0, 5, ()), "replications must be >= 1, got 0"),
+    (CalibrationResult, (1.0, 0.01, -1.0, 400, False), "achieved_loss must be >= 0, got -1.0"),
+], ids=["negative_std", "mean_below_min", "mean_above_max", "no_replications",
+        "negative_loss"])
+def test_result_constructors_reject_an_impossible_value(constructor, fields, message):
+    # no run or fit can build these: the checks guard the constructors themselves
     with pytest.raises(ValidationError, match=f"^{message}$"):
-        YearStats(2005, *stats)
+        constructor(*fields)
