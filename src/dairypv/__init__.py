@@ -7,7 +7,7 @@ recovers the curve parameters (alpha, beta) from observed adoption counts.
 """
 
 from .calibration import CalibrationResult, CalibrationTarget, calibrate
-from .domain import MoneyEur, ScenarioParams, SimulationResult, YearRecord, YearSeries
+from .domain import ScenarioParams, SimulationResult, YearRecord, YearSeries
 from .engine import MonteCarloSummary, YearStats, run_monte_carlo, run_simulation
 from .io import (
     LoadedScenario,
@@ -25,7 +25,6 @@ __all__ = [
     "CalibrationResult",
     "CalibrationTarget",
     "LoadedScenario",
-    "MoneyEur",
     "MonteCarloSummary",
     "ScenarioParams",
     "SimulationResult",

@@ -14,9 +14,6 @@ from datetime import MAXYEAR, MINYEAR
 
 from .errors import CoverageGapError, ValidationError
 
-# Monetary amounts are floats in EUR; the alias documents intent.
-MoneyEur = float
-
 ADOPTION_SEMANTICS = ("hazard", "literal")
 MODES = ("deterministic", "stochastic")
 
@@ -95,8 +92,8 @@ class ScenarioParams:
     bool (a numpy integer too) and stores it as int.
     """
 
-    pv_cost_min: MoneyEur
-    pv_cost_max: MoneyEur
+    pv_cost_min: float
+    pv_cost_max: float
     maintenance_rate: float
     discount_rate: float
     total_farmers: int
@@ -181,9 +178,9 @@ class YearRecord:
     """Outputs of one simulated year."""
 
     year: int
-    energy_price: MoneyEur
-    subsidy: MoneyEur
-    economic_utility: MoneyEur
+    energy_price: float
+    subsidy: float
+    economic_utility: float
     probability: float
     new_adopters: float
     cumulative_adopters: float

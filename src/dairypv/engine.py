@@ -139,8 +139,7 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
             params.alpha, params.beta, params.total_farmers)
         adopters = candidates[draws[candidates] < probabilities]
         del draws
-        if len(adopters):
-            costs = np.delete(costs, adopters)
+        costs = np.delete(costs, adopters)
         cumulative += len(adopters)
         yield float(cumulative)
 
@@ -172,7 +171,7 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
             piece = costs[start:min(start + _BLOCK, remaining)]
             u = _utility(params, annuity, energy_price, piece, subsidy)
             p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
-            left = piece[~(rng.random(len(piece)) < p)]
+            left = piece[rng.random(len(piece)) >= p]
             costs[stayed:stayed + len(left)] = left
             stayed += len(left)
             sum_u += float(np.add.reduce(u))

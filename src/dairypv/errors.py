@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Parse/validation problems raise distinct classes so callers (and the CLI
-exit-code mapping) can tell them apart without string matching.
+Parse/validation problems raise distinct classes so callers can tell them
+apart without string matching. The CLI exits 2 on CalibrationFailedError and
+1 on any other DairyPvError.
 """
 
 
@@ -13,15 +14,11 @@ class ValidationError(DairyPvError, ValueError):
     """A domain invariant or precondition was violated; message names the field."""
 
 
-class SeriesError(DairyPvError, ValueError):
-    """Base class for CSV year-series parse problems."""
-
-
-class MissingHeaderError(SeriesError):
+class MissingHeaderError(DairyPvError, ValueError):
     """Input is empty or its header row does not match the expected columns."""
 
 
-class DuplicateYearError(SeriesError):
+class DuplicateYearError(DairyPvError, ValueError):
     """The same calendar year appears on more than one row."""
 
     def __init__(self, message, year=None, line=None):
@@ -30,7 +27,7 @@ class DuplicateYearError(SeriesError):
         self.line = line
 
 
-class YearGapError(SeriesError):
+class YearGapError(DairyPvError, ValueError):
     """Years are not contiguous and increasing; carries the missing years."""
 
     def __init__(self, message, missing_years=(), line=None):
@@ -39,7 +36,7 @@ class YearGapError(SeriesError):
         self.line = line
 
 
-class BadValueError(SeriesError):
+class BadValueError(DairyPvError, ValueError):
     """A cell could not be parsed as the expected number."""
 
     def __init__(self, message, line=None):

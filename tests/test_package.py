@@ -10,7 +10,6 @@ DOCUMENTED = [
     "CalibrationResult",
     "CalibrationTarget",
     "LoadedScenario",
-    "MoneyEur",
     "MonteCarloSummary",
     "ScenarioParams",
     "SimulationResult",
@@ -46,3 +45,15 @@ def test_test_only_reference_code_is_not_exported(name):
 def test_economics_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("dairypv.economics")
+
+
+INPUT_ERRORS = ("ValidationError", "MissingHeaderError", "DuplicateYearError",
+                "YearGapError", "BadValueError", "CoverageGapError")
+
+
+@pytest.mark.parametrize("cls", [v for v in vars(dairypv.errors).values() if isinstance(v, type)],
+                         ids=lambda cls: cls.__name__)
+def test_every_error_is_a_package_error_and_input_errors_are_value_errors(cls):
+    assert issubclass(cls, dairypv.errors.DairyPvError)
+    assert issubclass(cls, ValueError) == (cls.__name__ in INPUT_ERRORS)
+    assert issubclass(cls, RuntimeError) == (cls is dairypv.errors.CalibrationFailedError)
