@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SimulationResult, YearRecord, require_finite, require_integer
+from .domain import _UINT64_MAX, SimulationResult, YearRecord, require_finite, require_integer
 from .errors import ValidationError
 
 # Smallest positive float; floor for probabilities when the exponential
@@ -23,9 +23,10 @@ from .errors import ValidationError
 _TINY = 5e-324
 
 # Most farmers a stochastic run scores at a time. A piece keeps about five
-# 8*_BLOCK-byte arrays live (costs, U, |U| or e, p, draws): inside the benchmark
-# host's 2 MiB per-core L2 at 2**15, past it at 2**16. On stochastic-1m, 2**16 and 2**13
-# ran 6-8% slower than 2**15, and 2**14 tied with it (CHANGES.md).
+# 8*_BLOCK-byte arrays live (costs, U, |U| or e, p, draws; an all-nonnegative year
+# makes no |U| and writes p over e): inside the benchmark host's 2 MiB per-core L2
+# at 2**15, past it at 2**16. On stochastic-1m, 2**16 and 2**13 ran 6-8% slower
+# than 2**15, and 2**14 tied with it (CHANGES.md).
 _BLOCK = 2**15
 
 
@@ -64,19 +65,41 @@ def _decay(magnitudes, alpha, total_farmers):
     return np.exp(-alpha * magnitudes / total_farmers)
 
 
-def _probability_array(utilities, alpha, beta, total_farmers):
+def _probability_array(utilities, alpha, beta, total_farmers, steps=(True, True)):
     """Probability kernel beta/(1 + exp(-x)), x = alpha*U/N, strictly inside (0, beta).
 
     With e from _decay, that is beta/(1 + e) where U >= 0, else e*beta/(1 + e): p =
     max(e, U >= 0)*beta/(1 + e), as 0 <= e <= 1. U >= 0 and x >= 0 differ only where
     x underflows to -0.0, and there e = 1, so p is the same. alpha and beta may be
     arrays that broadcast to U's shape; later steps run in place on e and p, never on U.
+
+    steps = (signed, clipped) from _needed_steps; False drops a step that cannot change
+    a bit of p for U inside the bounds it was decided on:
+    - signed False (every U >= 0): e = _decay(U) and p = beta/(1 + e). U and |U|
+      differ only at -0.0, where both give e = 1, and max(e, 1)*beta is beta.
+    - clipped False: before the clip p <= beta, as e <= 1 and 1 + e >= 1. p = beta
+      needs 1 + e to round to 1, so e <= 2**-53; x <= 36 keeps e >= 2.3e-16, and then
+      1 + e >= 1 + 2**-52 puts beta/(1 + e) at least one float below beta. p = 0 needs
+      max(e, U >= 0)*beta to underflow; at e >= 2.3e-16 and beta >= 2**-1000 it is
+      above 2e-317, and halving it by 1 + e <= 2 leaves it above 0.
     """
-    e = _decay(np.abs(utilities), alpha, total_farmers)
-    p = np.maximum(e, utilities >= 0)
-    p *= beta
-    p /= np.add(e, 1.0, out=e)
-    return p.clip(_TINY, np.nextafter(beta, 0.0), out=p)
+    signed, clipped = steps
+    if signed:
+        e = _decay(np.abs(utilities), alpha, total_farmers)
+        p = np.maximum(e, utilities >= 0)
+        p *= beta
+        p /= np.add(e, 1.0, out=e)
+    else:
+        e = _decay(utilities, alpha, total_farmers)
+        p = np.divide(beta, np.add(e, 1.0, out=e), out=e)
+    return p.clip(_TINY, np.nextafter(beta, 0.0), out=p) if clipped else p
+
+
+def _needed_steps(lowest, highest, alpha, beta, total_farmers):
+    """The kernel steps (signed, clipped) that any U in [lowest, highest] can need; x is
+    computed in _decay's order, so by monotone rounding the largest |U| bounds it."""
+    bounded = alpha * max(abs(lowest), abs(highest)) / total_farmers <= 36.0
+    return lowest < 0.0, not (bounded and beta >= 2.0**-1000)
 
 
 def _hazard(probabilities, total_farmers):
@@ -89,20 +112,34 @@ def _hazard(probabilities, total_farmers):
     return levels
 
 
+def _utility_range(params, annuity, energy_prices, yearly_subsidies):
+    """Rows (lowest, highest): each year's U at pv_cost_max and at pv_cost_min. Every
+    rounded step of _utility is monotone in cost, and with 0 <= pv_cost_min each sampled
+    cost lies in the range, so every farmer's U lies between the two."""
+    return _utility(params, annuity, energy_prices,
+                    np.array([[params.pv_cost_max], [params.pv_cost_min]]), yearly_subsidies)
+
+
+def _kernel_steps(params, annuity, energy_prices, yearly_subsidies):
+    """Per year, the _probability_array steps that the year's farmers can need."""
+    lowest, highest = _utility_range(params, annuity, energy_prices, yearly_subsidies).tolist()
+    return [_needed_steps(low, high, params.alpha, params.beta, params.total_farmers)
+            for low, high in zip(lowest, highest)]
+
+
 def _yearly_inputs(params, prices, subsidies):
     """A run's one input step: (annuity, price array, subsidy array), start_year..end_year.
 
     YearSeries.window checks coverage, price before subsidy. Then U is checked at both
-    ends of the cost range: U is affine in cost, so it is finite for every farmer if it
-    is finite there.
+    ends of the cost range (_utility_range), so it is finite for every farmer.
     """
     years = range(params.start_year, params.end_year + 1)
     energy_prices = np.array(prices.window(years, "price"))
     yearly_subsidies = np.array(subsidies.window(years, "subsidy"))
     annuity = _annuity(params)
     with np.errstate(all="ignore"):
-        finite = np.isfinite(_utility(params, annuity, energy_prices, np.array(
-            [[params.pv_cost_min], [params.pv_cost_max]]), yearly_subsidies)).all(axis=0)
+        finite = np.isfinite(_utility_range(params, annuity, energy_prices,
+                                            yearly_subsidies)).all(axis=0)
     if not finite.all():
         i = int(np.argmin(finite))  # the first year whose utility is not finite
         raise ValidationError(
@@ -117,7 +154,7 @@ def representative_utilities(params, annuity, energy_prices, yearly_subsidies):
     return _utility(params, annuity, energy_prices, params.midpoint_cost, yearly_subsidies)
 
 
-def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
+def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, steps, seed):
     """Per-farmer adoption for Monte Carlo; yields the cumulative count per year.
 
     PV costs are sampled Uniform[pv_cost_min, pv_cost_max] in id order, then
@@ -126,17 +163,18 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, seed):
     drops a farmer from the array while keeping the draw order. The year's
     draws are taken before any probability is computed, and only farmers
     whose draw is below beta are scored: the kernel keeps p < beta, so no
-    other draw can adopt. A year with no farmers left draws nothing.
+    other draw can adopt. A year with no farmers left draws nothing. steps holds
+    _kernel_steps of the same inputs.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
     cumulative = 0
-    for energy_price, subsidy in zip(energy_prices, yearly_subsidies):
+    for energy_price, subsidy, year_steps in zip(energy_prices, yearly_subsidies, steps):
         draws = rng.random(len(costs))
         candidates = np.flatnonzero(draws < params.beta)
         probabilities = _probability_array(
             _utility(params, annuity, energy_price, costs[candidates], subsidy),
-            params.alpha, params.beta, params.total_farmers)
+            params.alpha, params.beta, params.total_farmers, year_steps)
         adopters = candidates[draws[candidates] < probabilities]
         del draws
         costs = np.delete(costs, adopters)
@@ -160,7 +198,9 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
     remaining = len(costs)
     years = range(params.start_year, params.end_year + 1)
-    for year, energy_price, subsidy in zip(years, energy_prices, yearly_subsidies):
+    steps = _kernel_steps(params, annuity, energy_prices, yearly_subsidies)
+    for year, energy_price, subsidy, year_steps in zip(years, energy_prices, yearly_subsidies,
+                                                       steps):
         if not remaining:  # all adopted: the representative farmer keeps records finite
             u = _utility(params, annuity, energy_price, np.array([params.midpoint_cost]), subsidy)
             p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
@@ -170,7 +210,8 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
         for start in range(0, remaining, _BLOCK):
             piece = costs[start:min(start + _BLOCK, remaining)]
             u = _utility(params, annuity, energy_price, piece, subsidy)
-            p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
+            p = _probability_array(u, params.alpha, params.beta, params.total_farmers,
+                                   year_steps)
             left = piece[rng.random(len(piece)) >= p]
             costs[stayed:stayed + len(left)] = left
             stayed += len(left)
@@ -268,13 +309,15 @@ def run_monte_carlo(params, prices, subsidies, replications, base_seed):
     base_seed = require_integer("base_seed", base_seed)
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
-    if not 0 <= base_seed <= 2**64 - 1:
+    if not 0 <= base_seed <= _UINT64_MAX:
         raise ValidationError(f"base_seed must fit in an unsigned 64-bit integer, got {base_seed}")
     inputs = _yearly_inputs(params, prices, subsidies)
+    steps = _kernel_steps(params, *inputs)
 
     # one column per replication; C order keeps each year's row contiguous
-    curves = np.column_stack([list(_stochastic_years(params, *inputs, (base_seed + r) % 2**64))
-                              for r in range(replications)])
+    curves = np.column_stack([
+        list(_stochastic_years(params, *inputs, steps, (base_seed + r) % 2**64))
+        for r in range(replications)])
 
     stats = (reduce(curves, axis=1).tolist() for reduce in (np.mean, np.std, np.min, np.max))
     rows = tuple(map(YearStats, range(params.start_year, params.end_year + 1), *stats))

@@ -7,8 +7,8 @@ import pytest
 
 import conftest
 from dairypv.calibration import CalibrationResult
-from dairypv.engine import (MonteCarloSummary, YearStats, _stochastic_years, _yearly_inputs,
-                            run_monte_carlo, run_simulation)
+from dairypv.engine import (MonteCarloSummary, YearStats, _kernel_steps, _stochastic_years,
+                            _yearly_inputs, run_monte_carlo, run_simulation)
 from dairypv.errors import ValidationError
 from reference import adoption_law
 
@@ -83,7 +83,9 @@ def test_statistics_equal_numpy_over_each_years_values_bit_for_bit(price_series,
     params = make_params(total_farmers=2000, alpha=0.5, beta=0.2)
     summary = run_monte_carlo(params, price_series, subsidy_series, replications, base_seed=7)
     inputs = _yearly_inputs(params, price_series, subsidy_series)
-    curves = [list(_stochastic_years(params, *inputs, 7 + r)) for r in range(replications)]
+    steps = _kernel_steps(params, *inputs)
+    curves = [list(_stochastic_years(params, *inputs, steps, 7 + r))
+              for r in range(replications)]
     for row, values in zip(summary.rows, map(list, zip(*curves))):
         expected = (np.mean(values), np.std(values), min(values), max(values))
         assert [v.hex() for v in (row.mean, row.std, row.min, row.max)] == [

@@ -25,6 +25,8 @@ from dairypv.engine import (
     _TINY,
     _annuity,
     _decay,
+    _kernel_steps,
+    _needed_steps,
     _probability_array,
     _stochastic_years,
     _utility,
@@ -36,15 +38,12 @@ from reference import agent_utility, deterministic_curve, stochastic_run
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
-utility_arrays = hnp.arrays(
-    np.float64,
-    st.integers(0, 64),
-    elements=st.one_of(
-        st.floats(-1e300, 1e300),
-        st.floats(-1e6, 1e6),
-        st.sampled_from([0.0, -0.0, 1e300, -1e300]),
-    ),
+utility_floats = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300]),
 )
+utility_arrays = hnp.arrays(np.float64, st.integers(0, 64), elements=utility_floats)
 # alpha > 0 and beta in (0, 1]; 1e-323 is the smallest beta whose open
 # interval (0, beta) holds a float.
 alphas = st.one_of(st.floats(5e-324, 1e300), st.sampled_from([5e-324, 1e-12, 1.0, 1e300]))
@@ -97,6 +96,45 @@ def test_kernel_on_subset_equals_subset_of_kernel(utilities, alpha, beta, n, dat
         full = _probability_array(utilities, alpha, beta, n)
         gathered = _probability_array(utilities[subset], alpha, beta, n)
     assert gathered.tobytes() == full[subset].tobytes()
+
+
+@st.composite
+def bounded_kernel_cases(draw):
+    """(U, lowest, highest, alpha, beta, N) with every U inside [lowest, highest]; alpha is
+    sometimes set to put alpha*max(|lowest|, |highest|)/N at the clip bound 36."""
+    lowest = draw(utility_floats)
+    highest = draw(st.one_of(st.floats(lowest, 1e300),
+                             st.floats(lowest, max(lowest, 0.0) + 1e6)))
+    utilities = draw(hnp.arrays(np.float64, st.integers(0, 64),
+                                elements=st.floats(lowest, highest)))
+    n = draw(farmer_counts)
+    at_bound = 36.0 * n / max(abs(lowest), abs(highest), 5e-324)
+    near = [a for a in (at_bound, math.nextafter(at_bound, 0.0),
+                        math.nextafter(at_bound, math.inf)) if 0.0 < a < math.inf]
+    alpha = draw(st.one_of(alphas, st.sampled_from(near)) if near else alphas)
+    beta = draw(st.one_of(betas, st.sampled_from([2.0**-1000, math.nextafter(2.0**-1000, 0.0),
+                                                  5e-324])))
+    return utilities, lowest, highest, alpha, beta, n
+
+
+@SETTINGS
+@given(bounded_kernel_cases())
+@example((np.array([-0.0, 0.0]), -0.0, 0.0, 1.0, 1.0, 1))  # U and |U| differ only at -0.0
+@example((np.array([math.nextafter(36.0, 0.0)]), 0.0, math.nextafter(36.0, 0.0), 1.0, 1.0,
+          1))  # x just below 36: no clip
+@example((np.array([math.nextafter(36.0, 99.0)]), 0.0, math.nextafter(36.0, 99.0), 1.0, 1.0,
+          1))  # x just above 36: the clip stays
+@example((np.array([40.0]), 0.0, 40.0, 1.0, 1.0, 1))  # p rounds to beta and is cut
+@example((np.array([-36.0, -1.0, 0.0, 36.0]), -36.0, 36.0, 1.0, 2.0**-1000, 1))  # no clip
+@example((np.array([-36.0, 0.0, 36.0]), -36.0, 36.0, 1.0, 5e-324, 1))  # beta < 2**-1000
+@example((np.array([-1.0, 1.0]), -1.0, 1.0, 1.0, 1.0, 1))  # a mixed year keeps the select
+def test_kernel_with_needed_steps_matches_full_kernel(case):
+    utilities, lowest, highest, alpha, beta, n = case
+    steps = _needed_steps(lowest, highest, alpha, beta, n)
+    with np.errstate(over="ignore"):
+        full = _probability_array(utilities, alpha, beta, n)
+        fewer = _probability_array(utilities, alpha, beta, n, steps)
+    assert fewer.tobytes() == full.tobytes()
 
 
 @SETTINGS
@@ -189,6 +227,18 @@ ALL_ADOPT = (ScenarioParams(pv_cost_min=0.0, pv_cost_max=1.0, maintenance_rate=0
              np.array([0.5, 0.5, 0.5]), np.array([1e4, 1e4, 1e4]))
 
 
+# four years of 300 farmers: mixed-sign U, U >= 0, p cut below beta, p raised to _TINY
+EVERY_STEP = (replace(ALL_ADOPT[0], pv_cost_max=1e4, total_farmers=300, end_year=2008,
+                      alpha=0.5, beta=0.5, seed=5),
+              np.zeros(4), np.array([5e3, 1.5e4, 1e7, -1e7]))
+
+
+def test_every_step_example_takes_each_kernel_path():
+    params, prices, subsidies = EVERY_STEP
+    assert _kernel_steps(params, _annuity(params), prices, subsidies) == [
+        (True, False), (False, False), (False, True), (True, True)]
+
+
 def few_adopt(total_farmers):
     """total_farmers farmers over three years, most of whom stay."""
     return (replace(ALL_ADOPT[0], total_farmers=total_farmers, alpha=1e-3, beta=0.01,
@@ -198,6 +248,8 @@ def few_adopt(total_farmers):
 @settings(max_examples=100, deadline=None)
 @given(stochastic_scenarios())
 @example(ALL_ADOPT)
+@example(EVERY_STEP)
+@example((replace(EVERY_STEP[0], beta=1e-310), *EVERY_STEP[1:]))  # beta < 2**-1000: clipped
 @example(few_adopt(1000))  # 8 pieces of at most 128 or 136
 @example(few_adopt(128))  # in pieces of 128: a full last piece
 @example(few_adopt(129))  # a last piece of one farmer
@@ -219,7 +271,8 @@ def test_beta_filter_drops_no_adopter(scenario):
             patch.setattr(engine, "_BLOCK", block)
             run = np.array(list(engine._stochastic_run(params, annuity, prices, subsidies)))
         assert run.tobytes() == expected.tobytes()
-    years = list(_stochastic_years(params, annuity, prices, subsidies, params.seed))
+    steps = _kernel_steps(params, annuity, prices, subsidies)
+    years = list(_stochastic_years(params, annuity, prices, subsidies, steps, params.seed))
     assert np.array(years).tobytes() == expected[:, 3].tobytes()
 
 
