@@ -107,7 +107,7 @@ class _Objective:
 
     The midpoint-cost utilities U do not depend on (alpha, beta), so U, |U| and U >= 0
     are kept from one pass up to the last observed year, and engine._decay's e as a
-    list per alpha: a beta poll reruns only loss's scalar curve. A point scored before
+    list per polled alpha: a beta poll reruns only loss's scalar curve. A point scored before
     (Hooke-Jeeves re-polls some) is looked up, but still counts toward the budget.
     """
 
@@ -154,9 +154,9 @@ class _Objective:
 
     def grid(self):
         """(loss, alpha, beta) per grid cell, alpha-major, from engine._probability_array
-        and _hazard on (year, alpha, beta) arrays; each grid alpha's e list is kept for polls."""
+        and _hazard on (year, alpha, beta) arrays; each loss, not each e list, is kept for
+        polls, which revisit few grid alphas (3 of 20 on the bundled target)."""
         alphas, total = np.array(GRID_ALPHAS)[:, None], self._total
-        self._decays.update(zip(GRID_ALPHAS, _decay(self._magnitudes, alphas, total).tolist()))
         shape = (len(self._utilities), GRID_POINTS_PER_AXIS, GRID_POINTS_PER_AXIS)
         utilities = np.broadcast_to(self._utilities[:, None, None], shape)
         levels = _hazard(_probability_array(utilities, alphas, np.array(GRID_BETAS), total), total)

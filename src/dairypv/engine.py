@@ -86,7 +86,7 @@ def _probability_array(utilities, alpha, beta, total_farmers, steps=(True, True)
     signed, clipped = steps
     if signed:
         e = _decay(np.abs(utilities), alpha, total_farmers)
-        p = np.maximum(e, utilities >= 0)
+        p = np.maximum(e, utilities >= 0)  # U > 0 gives the same p: e = 1 at U = +-0
         p *= beta
         p /= np.add(e, 1.0, out=e)
     else:
@@ -168,18 +168,16 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, steps, s
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
-    cumulative = 0
     for energy_price, subsidy, year_steps in zip(energy_prices, yearly_subsidies, steps):
         draws = rng.random(len(costs))
-        candidates = np.flatnonzero(draws < params.beta)
+        candidates = np.flatnonzero(draws < params.beta)  # or <= beta: p < beta always
         probabilities = _probability_array(
             _utility(params, annuity, energy_price, costs[candidates], subsidy),
             params.alpha, params.beta, params.total_farmers, year_steps)
         adopters = candidates[draws[candidates] < probabilities]
         del draws
         costs = np.delete(costs, adopters)
-        cumulative += len(adopters)
-        yield float(cumulative)
+        yield float(params.total_farmers - len(costs))
 
 
 def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
@@ -197,10 +195,9 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
     rng = np.random.Generator(np.random.PCG64(params.seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
     remaining = len(costs)
-    years = range(params.start_year, params.end_year + 1)
     steps = _kernel_steps(params, annuity, energy_prices, yearly_subsidies)
-    for year, energy_price, subsidy, year_steps in zip(years, energy_prices, yearly_subsidies,
-                                                       steps):
+    for year, (energy_price, subsidy, year_steps) in enumerate(
+            zip(energy_prices, yearly_subsidies, steps), params.start_year):
         if not remaining:  # all adopted: the representative farmer keeps records finite
             u = _utility(params, annuity, energy_price, np.array([params.midpoint_cost]), subsidy)
             p = _probability_array(u, params.alpha, params.beta, params.total_farmers)

@@ -49,13 +49,19 @@ def chi2_quantile(k, z):
     return k * (1.0 - 2.0 / (9 * k) + z * math.sqrt(2.0 / (9 * k))) ** 3
 
 
+def exact_law(params, prices, subsidies):
+    """reference.adoption_law's q̄_t, once 16 nodes agree with 64 to 1e-9, far below a
+    sampling error at the points tested here."""
+    q = adoption_law(params, prices, subsidies)
+    assert np.abs(adoption_law(params, prices, subsidies, nodes=64) - q).max() < 1e-9
+    return q
+
+
 @pytest.mark.parametrize("point", sorted(LAW_POINTS))
 def test_counts_follow_the_binomial_law(price_series, subsidy_series, point):
     overrides, replications, base_seed = LAW_POINTS[point]
     params = make_params(**overrides)
-    q = adoption_law(params, price_series, subsidy_series)
-    # here 16 nodes agree with 64 to 1e-9, far below a sampling error
-    assert np.abs(adoption_law(params, price_series, subsidy_series, nodes=64) - q).max() < 1e-9
+    q = exact_law(params, price_series, subsidy_series)
     summary = run_monte_carlo(params, price_series, subsidy_series, replications, base_seed)
     mean = np.array([row.mean for row in summary.rows])
     std = np.array([row.std for row in summary.rows])
@@ -68,6 +74,28 @@ def test_counts_follow_the_binomial_law(price_series, subsidy_series, point):
     z_mean = (mean - n * q) / (sd / math.sqrt(replications))
     assert np.abs(z_mean).max() < LAW_Z, z_mean
     assert ((lo * sd < std) & (std < hi * sd)).all(), std / sd
+
+
+def test_adoption_years_follow_the_multinomial_law(price_series, subsidy_series):
+    # Each farmer's adoption year is i.i.d. with pmf π_t = q̄_t - q̄_{t-1}, and "never" has
+    # 1 - q̄_T, so the yearly new adopters (the differences of _stochastic_years' yields)
+    # and the never-adopters, pooled over R independent replications, are
+    # Multinomial(N·R; π_1..π_T, 1 - q̄_T): the whole path's law, not only each year's
+    # margin. Pearson's statistic over those T + 1 cells is then chi-square with T
+    # degrees. The one-sided tail at LAW_Z, then the point, R and the seed were fixed
+    # before the first run; the smallest expected cell holds about 5,900 farmers.
+    params = make_params(**LAW_POINTS["wide_costs"][0])
+    replications, base_seed = 1000, 3
+    q = exact_law(params, price_series, subsidy_series)
+    inputs = _yearly_inputs(params, price_series, subsidy_series)
+    steps = _kernel_steps(params, *inputs)
+    cumulative = np.array([list(_stochastic_years(params, *inputs, steps, base_seed + r))
+                           for r in range(replications)]).sum(axis=0)
+    trials = params.total_farmers * replications
+    observed = np.append(np.diff(cumulative, prepend=0.0), trials - cumulative[-1])
+    expected = trials * np.append(np.diff(q, prepend=0.0), 1.0 - q[-1])
+    statistic = ((observed - expected) ** 2 / expected).sum()
+    assert statistic < chi2_quantile(len(q), LAW_Z), observed / expected
 
 
 def test_replications_must_be_positive(price_series, subsidy_series):
