@@ -4,7 +4,7 @@ Every command is one pipeline: cli_main loads the scenario (and the
 --target file, if given), calls the command's function of (args, scenario),
 which does no I/O and returns the result, and writes that result once.
 Results go to --out or stdout; all diagnostics go to stderr. Exit codes:
-0 success, 1 validation/parse/usage error, 2 runtime or calibration failure.
+0 success or --help, 1 validation/parse/usage error, 2 runtime or calibration failure.
 """
 
 import argparse
@@ -18,15 +18,6 @@ from .domain import ADOPTION_SEMANTICS, MODES
 from .engine import run_monte_carlo, run_simulation
 from .errors import CalibrationFailedError, DairyPvError, ValidationError
 from .io import load_scenario, render_result, write_result
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits 1 (not 2) on usage errors."""
-
-    def exit(self, status=0, message=None):
-        if message:
-            self._print_message(message, sys.stderr)
-        raise SystemExit(1 if status else 0)
 
 
 def _run(args, scenario):
@@ -48,7 +39,7 @@ def _monte_carlo(args, scenario):
 
 @functools.cache  # built on first use, then reused by every cli_main call
 def build_parser():
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="dairypv",
         description="Simulate and calibrate solar PV adoption on dairy farms.",
     )
@@ -89,8 +80,8 @@ def cli_main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         with warnings.catch_warnings():  # a warning is one stderr line, like an error
             warnings.showwarning = lambda w, *_: print(f"warning: {w}", file=sys.stderr)

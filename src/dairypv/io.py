@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
 import warnings
 from dataclasses import MISSING, fields
@@ -45,56 +46,61 @@ SUBSIDY_RANGE_EUR = (1000.0, 3500.0)
 def _parse_rows(stream, value_column, require_contiguous):
     """Shared row machinery for series and target files.
 
-    Yields (year, value) pairs; line numbers are 1-based and include the
-    header, matching what editors display.
+    Returns (year, value) pairs. Errors name csv's 1-based physical line, header
+    and blank lines counted; a record that spans lines is named by its last.
     """
     reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        raise MissingHeaderError(f"empty input: expected header 'year,{value_column}'")
-    header = [cell.strip() for cell in header]
-    if header != ["year", value_column]:
-        raise MissingHeaderError(
-            f"expected header 'year,{value_column}', got '{','.join(header)}'")
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MissingHeaderError(f"empty input: expected header 'year,{value_column}'")
+        header = [cell.strip() for cell in header]
+        if header != ["year", value_column]:
+            raise MissingHeaderError(
+                f"expected header 'year,{value_column}', got '{','.join(header)}'")
 
-    pairs, prev_year = [], None
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue  # skip every empty row; line numbers still count it
-        if len(row) != 2:
-            raise BadValueError(f"line {line}: expected 2 columns, got {len(row)}", line=line)
-        year_text, value_text = row[0].strip(), row[1].strip()
-        try:
-            year = int(year_text)
-        except ValueError:
-            raise BadValueError(
-                f"line {line}: year {year_text!r} is not an integer", line=line
-            ) from None
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise BadValueError(
-                f"line {line}: {value_column} {value_text!r} is not a number", line=line
-            ) from None
-        if not math.isfinite(value):
-            raise BadValueError(
-                f"line {line}: {value_column} {value_text!r} is not finite", line=line)
-        if prev_year is not None:
-            if year == prev_year:
-                raise DuplicateYearError(
-                    f"line {line}: duplicate year {year}", year=year, line=line)
-            if year < prev_year:
-                raise YearGapError(
-                    f"line {line}: years must increase, got {year} after {prev_year}", line=line)
-            if require_contiguous and year > prev_year + 1:
-                missing = list(range(prev_year + 1, year))
-                raise YearGapError(
-                    f"line {line}: year gap, missing " + ", ".join(str(y) for y in missing),
-                    missing_years=missing,
-                    line=line,
-                )
-        pairs.append((year, value))
-        prev_year = year
+        pairs, prev_year = [], None
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != 2:
+                raise BadValueError(f"line {line}: expected 2 columns, got {len(row)}", line=line)
+            year_text, value_text = row[0].strip(), row[1].strip()
+            try:
+                year = int(year_text)
+            except ValueError:
+                raise BadValueError(
+                    f"line {line}: year {year_text!r} is not an integer", line=line
+                ) from None
+            try:
+                value = float(value_text)
+            except ValueError:
+                raise BadValueError(
+                    f"line {line}: {value_column} {value_text!r} is not a number", line=line
+                ) from None
+            if not math.isfinite(value):
+                raise BadValueError(
+                    f"line {line}: {value_column} {value_text!r} is not finite", line=line)
+            if prev_year is not None:
+                if year == prev_year:
+                    raise DuplicateYearError(
+                        f"line {line}: duplicate year {year}", year=year, line=line)
+                if year < prev_year:
+                    raise YearGapError(
+                        f"line {line}: years must increase, got {year} after {prev_year}",
+                        line=line)
+                if require_contiguous and year > prev_year + 1:
+                    missing = list(range(prev_year + 1, year))
+                    raise YearGapError(
+                        f"line {line}: year gap, missing " + ", ".join(str(y) for y in missing),
+                        missing_years=missing,
+                        line=line,
+                    )
+            pairs.append((year, value))
+            prev_year = year
+    except csv.Error as exc:  # a field past csv's size limit, say
+        raise BadValueError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
 
     if not pairs:
         raise BadValueError("no data rows after the header", line=2)
@@ -361,6 +367,13 @@ def write_result(result, format, output_path):
         try:
             with handle:
                 handle.write(text)
+            try:  # the mode open(output_path, "w") would leave, not mkstemp's 0600
+                mode = stat.S_IMODE(os.stat(output_path).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)  # reading the umask sets it; put it back
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.chmod(handle.name, mode)
             os.replace(handle.name, output_path)
         except BaseException:
             os.unlink(handle.name)

@@ -177,6 +177,13 @@ MUTANTS = [
            "handle.write(text)",
            f'handle.write(text + "\\n" * ({_CALL_NUMBER.format("os")} - 1))',
            "test_output_matches_golden_bytes, TestWriteResult::test_write_and_reread"),
+    Mutant("new_out_file_mode_0600", "io.py", "0o666 & ~umask", "0o600",
+           "TestWriteResult::test_mode_is_what_open_for_writing_leaves"),
+
+    # the CSV reader's line numbers
+    Mutant("line_number_one_early", "io.py",
+           "line = reader.line_num", "line = reader.line_num - 1",
+           "TestParseYearSeries::test_empty_lines_are_skipped_but_counted"),
 
     # the CLI
     Mutant("run_ignores_mode", "cli.py",
@@ -188,6 +195,9 @@ MUTANTS = [
     Mutant("calibrate_defaults_to_csv", "cli.py",
            'format="json")', 'format="csv")',
            "test_output_matches_golden_bytes[calibrate_target_2022_grid.json]"),
+    Mutant("usage_error_exits_2", "cli.py", "1 if exc.code else 0", "exc.code",
+           "TestRunCommand::test_unknown_flag_exits_1_with_usage, "
+           "test_help_exits_0_and_a_usage_error_exits_1"),
 
     # scenario and series validation, the error hierarchy
     Mutant("window_skips_the_first_year", "domain.py",

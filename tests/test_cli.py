@@ -128,6 +128,17 @@ def run_cli(*argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+def test_help_exits_0_and_a_usage_error_exits_1():
+    # the process's own status, through main() and sys.exit
+    shown = run_cli("--help")
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert shown.stdout.startswith("usage: dairypv")
+    refused = run_cli("run", "--config", "x.yaml", "--frobnicate")
+    assert (refused.returncode, refused.stdout) == (1, "")
+    assert refused.stderr.startswith("usage: dairypv")
+    assert refused.stderr.endswith("error: unrecognized arguments: --frobnicate\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["run", "--mode", "stochastic", "--seed", "3"],
@@ -310,7 +321,9 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("text, message", [
         (b"year,cumulative_adopters\n2022,441\n2010,50\n", "line 3: years must increase"),
         (b"year,cumulative_adopters\n2022,\xff\n", "'utf-8' codec can't decode byte 0xff"),
-    ], ids=["years_decrease", "not_utf8"])
+        (b"year,cumulative_adopters\n2010,50\n2022," + b"4" * 131_073 + b"\n",
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["years_decrease", "not_utf8", "field_past_the_csv_limit"])
     def test_malformed_target_exits_1_naming_file(self, default_config, tmp_path, capsys,
                                                   text, message):
         target = tmp_path / "bad_target.csv"

@@ -1,6 +1,8 @@
 import builtins
 import io
 import json
+import os
+import stat
 import sys
 import tempfile
 from collections import Counter
@@ -93,6 +95,10 @@ class TestParseYearSeries:
         with pytest.raises(BadValueError, match="line 5: ") as excinfo:
             parse("year,price_eur_per_kwh\n\n2005,0.14\n\n2006,abc\n\n")
         assert excinfo.value.line == 5
+        # a quoted value that spans two lines: csv's line count, not the record count
+        with pytest.raises(BadValueError, match="line 4: ") as excinfo:
+            parse('year,price_eur_per_kwh\n"2005","0.1\n"\n2006,abc\n')
+        assert excinfo.value.line == 4
 
     def test_header_only(self):
         with pytest.raises(BadValueError, match="no data rows"):
@@ -413,6 +419,19 @@ class TestWriteResult:
         out = tmp_path / "result.json"
         write_result(small_result(), "json", out)
         assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+
+    def test_mode_is_what_open_for_writing_leaves(self, tmp_path):
+        # a new file: 0o666 less the umask; a replaced file: its own mode
+        out = tmp_path / "result.csv"
+        umask = os.umask(0o022)
+        try:
+            write_result(small_result(), "csv", out)
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644
+            out.chmod(0o640)
+            write_result(small_result(), "csv", out)
+            assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        finally:
+            os.umask(umask)
 
 
 def _raise_on_replace(src, dst):
