@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import require_finite, require_integer
-from .engine import (_TINY, _decay, _hazard, _probability_array, _yearly_inputs,
-                     representative_utilities)
+from .engine import _TINY, _decay, _hazard, _probability_array, _yearly_inputs
 from .errors import CalibrationFailedError, ValidationError
 
 ALPHA_BOUNDS = (_ALPHA_LO, _ALPHA_HI) = (1e-3, 100.0)
@@ -115,8 +114,8 @@ class _Objective:
         self._observed = [(year - params.start_year, value)
                           for year, value in target.observations]
         last = max(index for index, _ in self._observed)
-        self._utilities = utilities = representative_utilities(
-            params, *_yearly_inputs(params, prices, subsidies))[:last + 1]
+        _, _, _, utilities = _yearly_inputs(params, prices, subsidies)
+        self._utilities = utilities = utilities[1, :last + 1]
         self._magnitudes, self._nonneg = np.abs(utilities), (utilities >= 0).tolist()
         self._total = float(params.total_farmers)  # float - float is Python's fast path
         self._squared = target.loss == "squared_error"

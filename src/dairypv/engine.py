@@ -112,46 +112,37 @@ def _hazard(probabilities, total_farmers):
     return levels
 
 
-def _utility_range(params, annuity, energy_prices, yearly_subsidies):
-    """Rows (lowest, highest): each year's U at pv_cost_max and at pv_cost_min. Every
-    rounded step of _utility is monotone in cost, and with 0 <= pv_cost_min each sampled
-    cost lies in the range, so every farmer's U lies between the two."""
-    return _utility(params, annuity, energy_prices,
-                    np.array([[params.pv_cost_max], [params.pv_cost_min]]), yearly_subsidies)
-
-
-def _kernel_steps(params, annuity, energy_prices, yearly_subsidies):
-    """Per year, the _probability_array steps that the year's farmers can need."""
-    lowest, highest = _utility_range(params, annuity, energy_prices, yearly_subsidies).tolist()
+def _kernel_steps(params, utilities):
+    """Per year, the _probability_array steps its farmers can need, from rows 0 and 2."""
+    lowest, _, highest = utilities.tolist()
     return [_needed_steps(low, high, params.alpha, params.beta, params.total_farmers)
             for low, high in zip(lowest, highest)]
 
 
 def _yearly_inputs(params, prices, subsidies):
-    """A run's one input step: (annuity, price array, subsidy array), start_year..end_year.
-
-    YearSeries.window checks coverage, price before subsidy. Then U is checked at both
-    ends of the cost range (_utility_range), so it is finite for every farmer.
+    """A run's one input step: (annuity, price array, subsidy array, utilities) over
+    start_year..end_year; utilities' rows are each year's U at pv_cost_max, midpoint_cost
+    and pv_cost_min. Every rounded step of _utility is monotone in cost, and with
+    0 <= pv_cost_min each sampled cost lies in the range, so every farmer's U lies between
+    rows 0 and 2. YearSeries.window checks coverage, price before subsidy; then rows 0 and 2
+    are checked finite, so every farmer's U is. The midpoint row is not checked: its cost,
+    (pv_cost_min + pv_cost_max)/2, can overflow where neither end does.
     """
     years = range(params.start_year, params.end_year + 1)
     energy_prices = np.array(prices.window(years, "price"))
     yearly_subsidies = np.array(subsidies.window(years, "subsidy"))
     annuity = _annuity(params)
+    costs = np.array([[params.pv_cost_max], [params.midpoint_cost], [params.pv_cost_min]])
     with np.errstate(all="ignore"):
-        finite = np.isfinite(_utility_range(params, annuity, energy_prices,
-                                            yearly_subsidies)).all(axis=0)
+        utilities = _utility(params, annuity, energy_prices, costs, yearly_subsidies)
+    finite = np.isfinite(utilities[::2]).all(axis=0)
     if not finite.all():
         i = int(np.argmin(finite))  # the first year whose utility is not finite
         raise ValidationError(
             f"utility in {years[i]} is not finite (annuity {annuity!r}); it depends on "
             "discount_rate, horizon_years, annual_generation_kwh, maintenance_rate, "
             "pv_cost_min, pv_cost_max and the year's energy price and subsidy")
-    return annuity, energy_prices, yearly_subsidies
-
-
-def representative_utilities(params, annuity, energy_prices, yearly_subsidies):
-    """Yearly utility of the midpoint-cost farmer that deterministic mode follows."""
-    return _utility(params, annuity, energy_prices, params.midpoint_cost, yearly_subsidies)
+    return annuity, energy_prices, yearly_subsidies, utilities
 
 
 def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, steps, seed):
@@ -180,7 +171,7 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, steps, s
         yield float(params.total_farmers - len(costs))
 
 
-def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
+def _stochastic_run(params, annuity, energy_prices, yearly_subsidies, utilities):
     """Stochastic run as (mean utility, mean probability, new, cumulative) per year.
 
     The farmers, draws and adoptions are those of _stochastic_years, but the
@@ -195,13 +186,13 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies):
     rng = np.random.Generator(np.random.PCG64(params.seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
     remaining = len(costs)
-    steps = _kernel_steps(params, annuity, energy_prices, yearly_subsidies)
-    for year, (energy_price, subsidy, year_steps) in enumerate(
-            zip(energy_prices, yearly_subsidies, steps), params.start_year):
+    midpoints = utilities[1, :, None]  # (1,)-arrays: _probability_array writes with out=
+    for year, (energy_price, subsidy, midpoint, year_steps) in enumerate(
+            zip(energy_prices, yearly_subsidies, midpoints, _kernel_steps(params, utilities)),
+            params.start_year):
         if not remaining:  # all adopted: the representative farmer keeps records finite
-            u = _utility(params, annuity, energy_price, np.array([params.midpoint_cost]), subsidy)
-            p = _probability_array(u, params.alpha, params.beta, params.total_farmers)
-            yield float(u[0]), float(p[0]), 0.0, float(len(costs))
+            p = _probability_array(midpoint, params.alpha, params.beta, params.total_farmers)
+            yield float(midpoint[0]), float(p[0]), 0.0, float(len(costs))
             continue
         stayed, sum_u, sum_p = 0, -0.0, -0.0
         for start in range(0, remaining, _BLOCK):
@@ -234,25 +225,27 @@ def run_simulation(params, prices, subsidies):
     recompute the cumulative level as p * N each year (new adopters
     reported as the non-negative difference).
     """
-    inputs = _yearly_inputs(params, prices, subsidies)
+    annuity, energy_prices, yearly_subsidies, utilities = _yearly_inputs(params, prices, subsidies)
     if params.mode == "deterministic":
-        utilities = representative_utilities(params, *inputs)
+        midpoint = utilities[1]
         n = float(params.total_farmers)
-        probabilities = _probability_array(utilities, params.alpha, params.beta, n).tolist()
+        probabilities = _probability_array(midpoint, params.alpha, params.beta, n).tolist()
         if params.adoption_semantics == "hazard":
             levels = _hazard(probabilities, n)
             new = [p * (n - prior) for p, prior in zip(probabilities, [0.0, *levels])]
         else:
             levels = [p * n for p in probabilities]
             new = [max(0.0, level - prior) for level, prior in zip(levels, [0.0, *levels])]
-        columns = (utilities.tolist(), probabilities, new, levels)
+        columns = (midpoint.tolist(), probabilities, new, levels)
     elif params.seed is None:  # the one reader of the seed checks it, before any draw
         raise ValidationError("seed is required when mode is 'stochastic'")
     else:
-        columns = zip(*_stochastic_run(params, *inputs))
+        columns = zip(*_stochastic_run(params, annuity, energy_prices, yearly_subsidies,
+                                       utilities))
     years = range(params.start_year, params.end_year + 1)
     # YearRecord's fields in order: year, energy price, subsidy, then the four columns
-    records = tuple(map(YearRecord, years, *(a.tolist() for a in inputs[1:]), *columns))
+    records = tuple(map(YearRecord, years, energy_prices.tolist(), yearly_subsidies.tolist(),
+                        *columns))
     return SimulationResult(params_digest=params.digest, records=records)
 
 
@@ -308,12 +301,13 @@ def run_monte_carlo(params, prices, subsidies, replications, base_seed):
         raise ValidationError(f"replications must be >= 1, got {replications}")
     if not 0 <= base_seed <= _UINT64_MAX:
         raise ValidationError(f"base_seed must fit in an unsigned 64-bit integer, got {base_seed}")
-    inputs = _yearly_inputs(params, prices, subsidies)
-    steps = _kernel_steps(params, *inputs)
+    annuity, energy_prices, yearly_subsidies, utilities = _yearly_inputs(params, prices, subsidies)
+    steps = _kernel_steps(params, utilities)
 
     # one column per replication; C order keeps each year's row contiguous
     curves = np.column_stack([
-        list(_stochastic_years(params, *inputs, steps, (base_seed + r) % 2**64))
+        list(_stochastic_years(params, annuity, energy_prices, yearly_subsidies, steps,
+                               (base_seed + r) % 2**64))
         for r in range(replications)])
 
     stats = (reduce(curves, axis=1).tolist() for reduce in (np.mean, np.std, np.min, np.max))

@@ -359,22 +359,23 @@ def write_result(result, format, output_path):
     """Render a result and write it atomically (temp file, then rename)."""
     text = render_result(result, format)
     output_path = Path(output_path)
+    target = Path(os.path.realpath(output_path))  # through a symlink, as open() writes
     try:
         handle = tempfile.NamedTemporaryFile(
             "w", encoding="utf-8", newline="\n",
-            dir=output_path.parent, prefix=output_path.name + ".", delete=False,
+            dir=target.parent, prefix=target.name + ".", delete=False,
         )
         try:
             with handle:
                 handle.write(text)
             try:  # the mode open(output_path, "w") would leave, not mkstemp's 0600
-                mode = stat.S_IMODE(os.stat(output_path).st_mode)
+                mode = stat.S_IMODE(os.stat(target).st_mode)
             except FileNotFoundError:
                 umask = os.umask(0)  # reading the umask sets it; put it back
                 os.umask(umask)
                 mode = 0o666 & ~umask
             os.chmod(handle.name, mode)
-            os.replace(handle.name, output_path)
+            os.replace(handle.name, target)
         except BaseException:
             os.unlink(handle.name)
             raise

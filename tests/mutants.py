@@ -79,6 +79,11 @@ MUTANTS = [
     Mutant("beta_floor_dropped", "engine.py",
            "not (bounded and beta >= 2.0**-1000)", "not bounded",
            "test_kernel_with_needed_steps_matches_full_kernel"),
+    Mutant("utility_cost_column_reversed", "engine.py",
+           "[[params.pv_cost_max], [params.midpoint_cost], [params.pv_cost_min]]",
+           "[[params.pv_cost_min], [params.midpoint_cost], [params.pv_cost_max]]",
+           "rows 0 and 2 swap: test_every_step_example_takes_each_kernel_path, "
+           "test_utility_rows_hold_the_midpoint_and_bound_every_farmer"),
 
     # the stochastic loops and their draw streams
     Mutant("mc_adopts_below_0_9_p", "engine.py",
@@ -117,6 +122,10 @@ MUTANTS = [
            "        yield float(cumulative)",
            "no np.delete: an adopter is drawn and counted again; "
            "test_adoption_years_follow_the_multinomial_law"),
+    Mutant("all_adopted_reads_the_lowest_row", "engine.py",
+           "midpoints = utilities[1, :, None]", "midpoints = utilities[0, :, None]",
+           "the all-adopted years score the dearest farmer: "
+           "test_beta_filter_drops_no_adopter's ALL_ADOPT example"),
     Mutant("mc_compacts_the_wrong_farmers", "engine.py",
            "costs = np.delete(costs, adopters)", "costs = costs[len(adopters):]",
            "the count is right, the survivors' costs are not; "
@@ -179,6 +188,9 @@ MUTANTS = [
            "test_output_matches_golden_bytes, TestWriteResult::test_write_and_reread"),
     Mutant("new_out_file_mode_0600", "io.py", "0o666 & ~umask", "0o600",
            "TestWriteResult::test_mode_is_what_open_for_writing_leaves"),
+    Mutant("out_symlink_replaced", "io.py",
+           "target = Path(os.path.realpath(output_path))", "target = output_path",
+           "TestWriteResult::test_a_symlink_is_written_through"),
 
     # the CSV reader's line numbers
     Mutant("line_number_one_early", "io.py",

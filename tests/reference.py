@@ -106,7 +106,7 @@ def adoption_law(params, prices, subsidies, nodes=16):
     Costs and draws are independent across farmers, so a stochastic run's cumulative
     count in year t is Binomial(total_farmers, q̄_t).
     """
-    annuity, energy_prices, yearly_subsidies = _yearly_inputs(params, prices, subsidies)
+    annuity, energy_prices, yearly_subsidies, _ = _yearly_inputs(params, prices, subsidies)
     points, weights = np.polynomial.legendre.leggauss(nodes)
     half_range = (params.pv_cost_max - params.pv_cost_min) / 2.0
     costs = (params.midpoint_cost + half_range * points)[:, None]

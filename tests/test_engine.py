@@ -124,8 +124,8 @@ class TestStochasticRun:
 
     def test_stochastic_run_holds_no_population_sized_array_but_costs(self):
         params = make_params(total_farmers=10**6, mode="stochastic", seed=11, end_year=2007)
-        years = engine._stochastic_run(params, _annuity(params), np.full(3, 0.25),
-                                       np.full(3, 3000.0))
+        years = engine._stochastic_run(params, *engine._yearly_inputs(
+            params, flat_series(params, 0.25), flat_series(params, 3000.0)))
         tracemalloc.start()
         try:
             assert len(list(years)) == 3

@@ -230,13 +230,13 @@ def draw_margin(draws, probabilities):
 def test_stochastic_draws_are_far_from_their_probabilities(name):
     config, seeds, column = STOCHASTIC[name]
     params, prices, subsidies, _ = load_scenario(config)
-    inputs = _yearly_inputs(params, prices, subsidies)
+    annuity, energy_prices, yearly_subsidies, _ = _yearly_inputs(params, prices, subsidies)
     years = range(params.start_year, params.end_year + 1)
     near, curves = [], []
     for seed in seeds:
         curves.append([])
         for year, (_, probabilities, draws, cumulative) in zip(
-                years, stochastic_run(params, *inputs, seed)):
+                years, stochastic_run(params, annuity, energy_prices, yearly_subsidies, seed)):
             margin = draw_margin(draws, probabilities)
             if margin < DRAW_MARGIN:
                 near.append(f"seed {seed}, year {year}: a draw is {margin:.2g} from its p")

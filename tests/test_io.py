@@ -433,6 +433,25 @@ class TestWriteResult:
         finally:
             os.umask(umask)
 
+    def test_a_symlink_is_written_through(self, tmp_path):
+        # as open(out, "w") writes: the link stays, its target takes the text and keeps its mode
+        target, out = tmp_path / "target.csv", tmp_path / "out.csv"
+        target.write_text("previous result\n")
+        target.chmod(0o640)
+        out.symlink_to(target.name)
+        write_result(small_result(), "csv", out)
+        assert out.is_symlink() and os.readlink(out) == target.name
+        assert target.read_text() == render_result(small_result(), "csv")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "target.csv"]
+
+    def test_a_dangling_symlink_creates_its_target(self, tmp_path):
+        target, out = tmp_path / "target.csv", tmp_path / "out.csv"
+        out.symlink_to(target.name)
+        write_result(small_result(), "json", out)
+        assert out.is_symlink()
+        assert target.read_text() == render_result(small_result(), "json")
+
 
 def _raise_on_replace(src, dst):
     raise OSError("replace refused")

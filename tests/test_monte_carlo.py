@@ -87,10 +87,11 @@ def test_adoption_years_follow_the_multinomial_law(price_series, subsidy_series)
     params = make_params(**LAW_POINTS["wide_costs"][0])
     replications, base_seed = 1000, 3
     q = exact_law(params, price_series, subsidy_series)
-    inputs = _yearly_inputs(params, price_series, subsidy_series)
-    steps = _kernel_steps(params, *inputs)
-    cumulative = np.array([list(_stochastic_years(params, *inputs, steps, base_seed + r))
-                           for r in range(replications)]).sum(axis=0)
+    annuity, prices, subsidies, utilities = _yearly_inputs(params, price_series, subsidy_series)
+    steps = _kernel_steps(params, utilities)
+    cumulative = np.array([
+        list(_stochastic_years(params, annuity, prices, subsidies, steps, base_seed + r))
+        for r in range(replications)]).sum(axis=0)
     trials = params.total_farmers * replications
     observed = np.append(np.diff(cumulative, prepend=0.0), trials - cumulative[-1])
     expected = trials * np.append(np.diff(q, prepend=0.0), 1.0 - q[-1])
@@ -110,9 +111,9 @@ def test_statistics_equal_numpy_over_each_years_values_bit_for_bit(price_series,
     # each year's values reduced as one contiguous list, in replication order
     params = make_params(total_farmers=2000, alpha=0.5, beta=0.2)
     summary = run_monte_carlo(params, price_series, subsidy_series, replications, base_seed=7)
-    inputs = _yearly_inputs(params, price_series, subsidy_series)
-    steps = _kernel_steps(params, *inputs)
-    curves = [list(_stochastic_years(params, *inputs, steps, 7 + r))
+    annuity, prices, subsidies, utilities = _yearly_inputs(params, price_series, subsidy_series)
+    steps = _kernel_steps(params, utilities)
+    curves = [list(_stochastic_years(params, annuity, prices, subsidies, steps, 7 + r))
               for r in range(replications)]
     for row, values in zip(summary.rows, map(list, zip(*curves))):
         expected = (np.mean(values), np.std(values), min(values), max(values))

@@ -31,7 +31,6 @@ from dairypv.engine import (
     _stochastic_years,
     _utility,
     _yearly_inputs,
-    representative_utilities,
     run_simulation,
 )
 from reference import agent_utility, deterministic_curve, stochastic_run
@@ -199,6 +198,12 @@ def stochastic_scenarios(draw):
     return params, prices, subsidies
 
 
+def yearly_inputs(params, prices, subsidies):
+    """_yearly_inputs of drawn price and subsidy arrays, each a YearSeries from start_year."""
+    return _yearly_inputs(params, YearSeries(params.start_year, tuple(prices)),
+                          YearSeries(params.start_year, tuple(subsidies)))
+
+
 def piece_mean(values, block):
     """Sum of np.add.reduce over consecutive block-sized slices, left to right from
     -0.0, over the count; np.mean when block is None."""
@@ -234,8 +239,8 @@ EVERY_STEP = (replace(ALL_ADOPT[0], pv_cost_max=1e4, total_farmers=300, end_year
 
 
 def test_every_step_example_takes_each_kernel_path():
-    params, prices, subsidies = EVERY_STEP
-    assert _kernel_steps(params, _annuity(params), prices, subsidies) == [
+    _, _, _, utilities = yearly_inputs(*EVERY_STEP)
+    assert _kernel_steps(EVERY_STEP[0], utilities) == [
         (True, False), (False, False), (False, True), (True, True)]
 
 
@@ -262,18 +267,37 @@ def test_beta_filter_drops_no_adopter(scenario):
 
     The draw-first beta filter of Monte Carlo finds the same adopters.
     """
-    params, prices, subsidies = scenario
-    annuity = _annuity(params)
+    params = scenario[0]
+    annuity, prices, subsidies, utilities = yearly_inputs(*scenario)
     for block, mean_block in ((128, 128), (136, 136), (engine._BLOCK, None)):
         expected = np.array(list(score_every_farmer(params, annuity, prices, subsidies,
                                                     mean_block)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_BLOCK", block)
-            run = np.array(list(engine._stochastic_run(params, annuity, prices, subsidies)))
+            run = np.array(list(engine._stochastic_run(params, annuity, prices, subsidies,
+                                                       utilities)))
         assert run.tobytes() == expected.tobytes()
-    steps = _kernel_steps(params, annuity, prices, subsidies)
+    steps = _kernel_steps(params, utilities)
     years = list(_stochastic_years(params, annuity, prices, subsidies, steps, params.seed))
     assert np.array(years).tobytes() == expected[:, 3].tobytes()
+
+
+@SETTINGS
+@given(stochastic_scenarios())
+@example(EVERY_STEP)
+def test_utility_rows_hold_the_midpoint_and_bound_every_farmer(scenario):
+    """Row 1 has the bits of U at midpoint_cost, and the U of every farmer the engine's
+    PCG64(seed) stream draws lies between rows 0 and 2: the finiteness check and
+    _kernel_steps read only those two rows."""
+    params = scenario[0]
+    annuity, prices, subsidies, utilities = yearly_inputs(*scenario)
+    lowest, midpoint, highest = utilities
+    direct = _utility(params, annuity, prices, params.midpoint_cost, subsidies)
+    assert midpoint.tobytes() == direct.tobytes()
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
+    farmers = _utility(params, annuity, prices, costs[:, None], subsidies)
+    assert np.all(lowest <= farmers) and np.all(farmers <= highest)
 
 
 @SETTINGS
@@ -370,9 +394,8 @@ def test_run_records_equal_numpy_kernel_curve(case, alpha, beta):
             adoption_semantics=semantics)
         records = run_simulation(params, prices, subsidies).records
         with np.errstate(over="ignore"):
-            inputs = _yearly_inputs(params, prices, subsidies)
-            utilities = representative_utilities(params, *inputs)
-            expected = deterministic_curve(utilities, alpha, beta, n, semantics)
+            _, _, _, utilities = _yearly_inputs(params, prices, subsidies)
+            expected = deterministic_curve(utilities[1], alpha, beta, n, semantics)
         got = [[r.probability for r in records], [r.new_adopters for r in records],
                [r.cumulative_adopters for r in records]]
         assert [[v.hex() for v in column] for column in got] == [
@@ -386,8 +409,8 @@ def test_run_records_equal_numpy_kernel_curve(case, alpha, beta):
 def test_scalar_loss_equals_engine_curve_loss(case, alpha, beta):
     yearly_subsidies, n, observed = case
     params, prices, subsidies = bundled_with_subsidies(yearly_subsidies, total_farmers=n)
-    utilities = representative_utilities(params, *_yearly_inputs(params, prices, subsidies))
-    _, _, cumulative = deterministic_curve(utilities, alpha, beta, n, "hazard")
+    _, _, _, utilities = _yearly_inputs(params, prices, subsidies)
+    _, _, cumulative = deterministic_curve(utilities[1], alpha, beta, n, "hazard")
     for kind in LOSS_KINDS:
         target = CalibrationTarget(
             observations=tuple((params.start_year + i, v) for i, v in observed), loss=kind)
