@@ -114,8 +114,8 @@ class _Objective:
         self._observed = [(year - params.start_year, value)
                           for year, value in target.observations]
         last = max(index for index, _ in self._observed)
-        _, _, _, utilities = _yearly_inputs(params, prices, subsidies)
-        self._utilities = utilities = utilities[1, :last + 1]
+        _, _, _, midpoint, _ = _yearly_inputs(params, prices, subsidies)
+        self._utilities = utilities = midpoint[:last + 1]
         self._magnitudes, self._nonneg = np.abs(utilities), (utilities >= 0).tolist()
         self._total = float(params.total_farmers)  # float - float is Python's fast path
         self._squared = target.loss == "squared_error"

@@ -163,8 +163,9 @@ class ScenarioParams:
 
     @property
     def midpoint_cost(self):
-        """Representative PV cost used by the deterministic mode."""
-        return (self.pv_cost_min + self.pv_cost_max) / 2.0
+        """Representative PV cost used by the deterministic mode. Halved before the sum, so
+        it is finite when both costs are; (min + max)/2's bits when each is 0 or >= 2**-1021."""
+        return self.pv_cost_min / 2.0 + self.pv_cost_max / 2.0
 
     @property
     def digest(self):

@@ -112,21 +112,13 @@ def _hazard(probabilities, total_farmers):
     return levels
 
 
-def _kernel_steps(params, utilities):
-    """Per year, the _probability_array steps its farmers can need, from rows 0 and 2."""
-    lowest, _, highest = utilities.tolist()
-    return [_needed_steps(low, high, params.alpha, params.beta, params.total_farmers)
-            for low, high in zip(lowest, highest)]
-
-
 def _yearly_inputs(params, prices, subsidies):
-    """A run's one input step: (annuity, price array, subsidy array, utilities) over
-    start_year..end_year; utilities' rows are each year's U at pv_cost_max, midpoint_cost
-    and pv_cost_min. Every rounded step of _utility is monotone in cost, and with
-    0 <= pv_cost_min each sampled cost lies in the range, so every farmer's U lies between
-    rows 0 and 2. YearSeries.window checks coverage, price before subsidy; then rows 0 and 2
-    are checked finite, so every farmer's U is. The midpoint row is not checked: its cost,
-    (pv_cost_min + pv_cost_max)/2, can overflow where neither end does.
+    """A run's one input step: (annuity, price array, subsidy array, midpoint, steps) over
+    start_year..end_year. midpoint is each year's U at midpoint_cost; steps holds each
+    year's _needed_steps from its U at pv_cost_max and pv_cost_min. Every rounded step of
+    _utility is monotone in cost, and with 0 <= pv_cost_min each sampled cost lies in the
+    range, so every farmer's U lies between those two. YearSeries.window checks coverage,
+    price before subsidy; then U at all three costs is checked finite, so every farmer's is.
     """
     years = range(params.start_year, params.end_year + 1)
     energy_prices = np.array(prices.window(years, "price"))
@@ -135,14 +127,17 @@ def _yearly_inputs(params, prices, subsidies):
     costs = np.array([[params.pv_cost_max], [params.midpoint_cost], [params.pv_cost_min]])
     with np.errstate(all="ignore"):
         utilities = _utility(params, annuity, energy_prices, costs, yearly_subsidies)
-    finite = np.isfinite(utilities[::2]).all(axis=0)
+    finite = np.isfinite(utilities).all(axis=0)
     if not finite.all():
         i = int(np.argmin(finite))  # the first year whose utility is not finite
         raise ValidationError(
             f"utility in {years[i]} is not finite (annuity {annuity!r}); it depends on "
             "discount_rate, horizon_years, annual_generation_kwh, maintenance_rate, "
             "pv_cost_min, pv_cost_max and the year's energy price and subsidy")
-    return annuity, energy_prices, yearly_subsidies, utilities
+    lowest, midpoint, highest = utilities
+    steps = [_needed_steps(low, high, params.alpha, params.beta, params.total_farmers)
+             for low, high in zip(lowest.tolist(), highest.tolist())]
+    return annuity, energy_prices, yearly_subsidies, midpoint, steps
 
 
 def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, steps, seed):
@@ -154,8 +149,8 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, steps, s
     drops a farmer from the array while keeping the draw order. The year's
     draws are taken before any probability is computed, and only farmers
     whose draw is below beta are scored: the kernel keeps p < beta, so no
-    other draw can adopt. A year with no farmers left draws nothing. steps holds
-    _kernel_steps of the same inputs.
+    other draw can adopt. A year with no farmers left draws nothing. steps is
+    _yearly_inputs' for the same inputs.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
@@ -171,7 +166,7 @@ def _stochastic_years(params, annuity, energy_prices, yearly_subsidies, steps, s
         yield float(params.total_farmers - len(costs))
 
 
-def _stochastic_run(params, annuity, energy_prices, yearly_subsidies, utilities):
+def _stochastic_run(params, annuity, energy_prices, yearly_subsidies, midpoint, steps):
     """Stochastic run as (mean utility, mean probability, new, cumulative) per year.
 
     The farmers, draws and adoptions are those of _stochastic_years, but the
@@ -181,18 +176,18 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies, utilities)
     per farmer per year. A mean is the pieces' sums added left to right from
     -0.0, over the count: np.mean's bits when one piece holds every farmer.
     Survivors' costs move to the front of the cost array, in order, copied
-    out before they are written back and never past their piece.
+    out before they are written back and never past their piece. midpoint and steps are
+    _yearly_inputs'. A year with every farmer adopted reports the representative farmer at
+    midpoint (each a (1,)-array, for the kernel's in-place steps), so records stay finite.
     """
     rng = np.random.Generator(np.random.PCG64(params.seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
     remaining = len(costs)
-    midpoints = utilities[1, :, None]  # (1,)-arrays: _probability_array writes with out=
-    for year, (energy_price, subsidy, midpoint, year_steps) in enumerate(
-            zip(energy_prices, yearly_subsidies, midpoints, _kernel_steps(params, utilities)),
-            params.start_year):
-        if not remaining:  # all adopted: the representative farmer keeps records finite
-            p = _probability_array(midpoint, params.alpha, params.beta, params.total_farmers)
-            yield float(midpoint[0]), float(p[0]), 0.0, float(len(costs))
+    for year, (energy_price, subsidy, u_mid, year_steps) in enumerate(
+            zip(energy_prices, yearly_subsidies, midpoint[:, None], steps), params.start_year):
+        if not remaining:
+            p = _probability_array(u_mid, params.alpha, params.beta, params.total_farmers)
+            yield float(u_mid[0]), float(p[0]), 0.0, float(len(costs))
             continue
         stayed, sum_u, sum_p = 0, -0.0, -0.0
         for start in range(0, remaining, _BLOCK):
@@ -225,9 +220,9 @@ def run_simulation(params, prices, subsidies):
     recompute the cumulative level as p * N each year (new adopters
     reported as the non-negative difference).
     """
-    annuity, energy_prices, yearly_subsidies, utilities = _yearly_inputs(params, prices, subsidies)
+    annuity, energy_prices, yearly_subsidies, midpoint, steps = _yearly_inputs(
+        params, prices, subsidies)
     if params.mode == "deterministic":
-        midpoint = utilities[1]
         n = float(params.total_farmers)
         probabilities = _probability_array(midpoint, params.alpha, params.beta, n).tolist()
         if params.adoption_semantics == "hazard":
@@ -241,7 +236,7 @@ def run_simulation(params, prices, subsidies):
         raise ValidationError("seed is required when mode is 'stochastic'")
     else:
         columns = zip(*_stochastic_run(params, annuity, energy_prices, yearly_subsidies,
-                                       utilities))
+                                       midpoint, steps))
     years = range(params.start_year, params.end_year + 1)
     # YearRecord's fields in order: year, energy price, subsidy, then the four columns
     records = tuple(map(YearRecord, years, energy_prices.tolist(), yearly_subsidies.tolist(),
@@ -301,8 +296,7 @@ def run_monte_carlo(params, prices, subsidies, replications, base_seed):
         raise ValidationError(f"replications must be >= 1, got {replications}")
     if not 0 <= base_seed <= _UINT64_MAX:
         raise ValidationError(f"base_seed must fit in an unsigned 64-bit integer, got {base_seed}")
-    annuity, energy_prices, yearly_subsidies, utilities = _yearly_inputs(params, prices, subsidies)
-    steps = _kernel_steps(params, utilities)
+    annuity, energy_prices, yearly_subsidies, _, steps = _yearly_inputs(params, prices, subsidies)
 
     # one column per replication; C order keeps each year's row contiguous
     curves = np.column_stack([

@@ -6,7 +6,9 @@
 Each mutant swaps one string that occurs exactly once in a source file. For each,
 the checkout is copied to a temporary directory, the mutant is applied to the copy
 and `pytest -x -q` runs there without tests/test_dispatch.py (whose reruns repeat
-the golden tests under other numpy dispatch paths). A failing run kills the mutant.
+the golden tests under other numpy dispatch paths) and tests/test_mutants.py (which
+fails on any mutated source, since it checks this list against the source). A failing
+run kills the mutant.
 The checkout itself is never written. An equivalent mutant changes no result on any
 reachable input, so it survives by design; its note says why. The exit status is 1
 when a mutant that is not equivalent survives.
@@ -82,7 +84,8 @@ MUTANTS = [
     Mutant("utility_cost_column_reversed", "engine.py",
            "[[params.pv_cost_max], [params.midpoint_cost], [params.pv_cost_min]]",
            "[[params.pv_cost_min], [params.midpoint_cost], [params.pv_cost_max]]",
-           "rows 0 and 2 swap: test_every_step_example_takes_each_kernel_path, "
+           "the steps come from the wrong ends: "
+           "test_every_step_example_takes_each_kernel_path, "
            "test_utility_rows_hold_the_midpoint_and_bound_every_farmer"),
 
     # the stochastic loops and their draw streams
@@ -122,14 +125,61 @@ MUTANTS = [
            "        yield float(cumulative)",
            "no np.delete: an adopter is drawn and counted again; "
            "test_adoption_years_follow_the_multinomial_law"),
-    Mutant("all_adopted_reads_the_lowest_row", "engine.py",
-           "midpoints = utilities[1, :, None]", "midpoints = utilities[0, :, None]",
-           "the all-adopted years score the dearest farmer: "
+    Mutant("all_adopted_scores_the_dearest_farmer", "engine.py",
+           "yearly_subsidies, midpoint[:, None], steps)",
+           "yearly_subsidies, _utility(params, annuity, energy_prices, params.pv_cost_max, "
+           "yearly_subsidies)[:, None], steps)",
            "test_beta_filter_drops_no_adopter's ALL_ADOPT example"),
+    Mutant("all_adopted_branch_dropped", "engine.py", "if not remaining:", "if False:",
+           "the means divide by zero farmers: "
+           "TestStochasticRun::test_all_adopted_population_reports_zero_new"),
+    Mutant("mean_utility_check_dropped", "engine.py",
+           "if not math.isfinite(mean_u):", "if False:",
+           "test_stochastic_mean_past_the_float_range_exits_1_naming_the_year"),
+    Mutant("last_piece_runs_past_the_survivors", "engine.py",
+           "min(start + _BLOCK, remaining)", "start + _BLOCK",
+           "adopted farmers' stale costs are scored again: "
+           "test_beta_filter_drops_no_adopter"),
     Mutant("mc_compacts_the_wrong_farmers", "engine.py",
            "costs = np.delete(costs, adopters)", "costs = costs[len(adopters):]",
            "the count is right, the survivors' costs are not; "
            "test_adoption_years_follow_the_multinomial_law"),
+
+    # the input step
+    Mutant("annuity_guard_dropped", "engine.py",
+           "1.0 / denominator if denominator else math.inf", "1.0 / denominator",
+           "1/0 once (1 + rate)^t underflows to 0: "
+           "test_utilities_past_the_float_range_exit_1_before_any_work[200-*]"),
+    Mutant("finiteness_check_dropped", "engine.py", "if not finite.all():", "if False:",
+           "test_utilities_past_the_float_range_exit_1_before_any_work"),
+    Mutant("first_finite_year_named", "engine.py",
+           "int(np.argmin(finite))", "int(np.argmax(finite))",
+           "TestRunSimulation::test_a_utility_past_float_range_names_its_own_year"),
+    Mutant("midpoint_sum_overflows", "domain.py",
+           "self.pv_cost_min / 2.0 + self.pv_cost_max / 2.0",
+           "(self.pv_cost_min + self.pv_cost_max) / 2.0",
+           "test_costs_whose_sum_leaves_float_range_keep_a_finite_midpoint[run], "
+           "test_midpoint_cost_is_finite_and_has_the_bits_of_the_halved_sum"),
+
+    # run_simulation's and run_monte_carlo's branches and argument checks
+    Mutant("mode_test_negated", "engine.py",
+           'params.mode == "deterministic"', 'params.mode != "deterministic"',
+           "test_stdout_matches_golden_bytes[run.csv]"),
+    Mutant("semantics_test_negated", "engine.py",
+           'params.adoption_semantics == "hazard"', 'params.adoption_semantics != "hazard"',
+           "test_stdout_matches_golden_bytes[run.csv]"),
+    Mutant("literal_new_not_clamped", "engine.py",
+           "max(0.0, level - prior)", "level - prior",
+           "test_stdout_matches_golden_bytes[run_literal.csv], "
+           "test_run_records_equal_numpy_kernel_curve"),
+    Mutant("seed_check_dropped", "engine.py", "elif params.seed is None:", "elif False:",
+           "TestRunSimulation::test_stochastic_mode_requires_seed"),
+    Mutant("zero_replications_accepted", "engine.py",
+           "if replications < 1:", "if replications < 0:",
+           "test_replications_must_be_positive"),
+    Mutant("largest_base_seed_rejected", "engine.py",
+           "0 <= base_seed <= _UINT64_MAX", "0 <= base_seed < _UINT64_MAX",
+           "test_seed_wraps_at_uint64"),
 
     # result records and summaries
     Mutant("digest_truncated", "engine.py",
@@ -248,7 +298,7 @@ def killed(mutant):
             filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")])))
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--ignore=tests/test_dispatch.py"],
+             "--ignore=tests/test_dispatch.py", "--ignore=tests/test_mutants.py"],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return run.returncode != 0
 

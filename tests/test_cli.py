@@ -224,6 +224,25 @@ def test_stochastic_mean_past_the_float_range_exits_1_naming_the_year(tmp_path):
                            "remaining farmers' utilities left float range\n")
 
 
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["run"], 0, ""),
+    (["monte-carlo", "--replications", "2", "--seed", "3"], 0, ""),
+    (["run", "--mode", "stochastic", "--seed", "3"], 1,
+     "error: mean utility in 2005 is not finite: the sum of the remaining farmers' "
+     "utilities left float range\n"),
+], ids=["run", "monte-carlo", "stochastic"])
+def test_costs_whose_sum_leaves_float_range_keep_a_finite_midpoint(tmp_path, argv, code,
+                                                                    stderr):
+    # pv_cost_min + pv_cost_max is inf, but the midpoint is 1e308 and so is every
+    # farmer's cost: each U is -1e308, while 18,000 of them sum past float range
+    config = bundled_config_copy(tmp_path, pv_cost_min=1e308, pv_cost_max=1e308,
+                                 maintenance_rate=0)
+    proc = run_cli(*argv, "--config", str(config))
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    if argv == ["run"]:
+        assert {row.split(",")[3] for row in proc.stdout.splitlines()[1:]} == {"-1e+308"}
+
+
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["monte-carlo", "--replications", "2", "--seed", "3"],

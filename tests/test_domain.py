@@ -1,6 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dairypv.domain import SimulationResult, YearRecord, YearSeries
@@ -14,6 +16,19 @@ class TestScenarioParams:
         p = make_params()
         assert p.midpoint_cost == 10000.0
         assert p.alpha == 1.0 and p.beta == 0.01
+
+    @settings(max_examples=200, deadline=None)
+    @given(*[st.one_of(st.just(0.0), st.floats(2.0**-1021, sys.float_info.max))] * 2)
+    @example(2.0**-1021, 2.0**-1021)  # the smallest cost whose half is exact
+    @example(0.0, sys.float_info.max)
+    @example(1e308, 1e308)  # the sum is inf
+    def test_midpoint_cost_is_finite_and_has_the_bits_of_the_halved_sum(self, a, b):
+        # halving a cost of 0 or at least 2**-1021 is exact, so min/2 + max/2 rounds
+        # as (min + max)/2 does wherever that sum is finite
+        midpoint = make_params(pv_cost_min=min(a, b), pv_cost_max=max(a, b)).midpoint_cost
+        assert np.isfinite(midpoint)
+        if np.isfinite(a + b):
+            assert midpoint.hex() == ((a + b) / 2.0).hex()
 
     @pytest.mark.parametrize(
         "overrides, field",

@@ -194,6 +194,13 @@ class TestRunSimulation:
         result = run_simulation(params, price_series, subsidy_series)
         assert result.records[-1].cumulative_adopters < 1e-3
 
+    def test_a_utility_past_float_range_names_its_own_year(self, subsidy_series):
+        # only the 2010 price takes U past float range (6000 * 1e308 * A is inf)
+        params = make_params()
+        prices = YearSeries(2005, [0.2] * 5 + [1e308] + [0.2] * 12)
+        with pytest.raises(ValidationError, match="^utility in 2010 is not finite"):
+            run_simulation(params, prices, subsidy_series)
+
     def test_stochastic_mode_requires_seed(self, price_series, subsidy_series, monkeypatch):
         # only a stochastic run reads the seed, so a seedless stochastic scenario loads
         params = make_params(mode="stochastic")

@@ -230,7 +230,7 @@ def draw_margin(draws, probabilities):
 def test_stochastic_draws_are_far_from_their_probabilities(name):
     config, seeds, column = STOCHASTIC[name]
     params, prices, subsidies, _ = load_scenario(config)
-    annuity, energy_prices, yearly_subsidies, _ = _yearly_inputs(params, prices, subsidies)
+    annuity, energy_prices, yearly_subsidies, _, _ = _yearly_inputs(params, prices, subsidies)
     years = range(params.start_year, params.end_year + 1)
     near, curves = [], []
     for seed in seeds:

@@ -7,8 +7,8 @@ import pytest
 
 import conftest
 from dairypv.calibration import CalibrationResult
-from dairypv.engine import (MonteCarloSummary, YearStats, _kernel_steps, _stochastic_years,
-                            _yearly_inputs, run_monte_carlo, run_simulation)
+from dairypv.engine import (MonteCarloSummary, YearStats, _stochastic_years, _yearly_inputs,
+                            run_monte_carlo, run_simulation)
 from dairypv.errors import ValidationError
 from reference import adoption_law
 
@@ -87,8 +87,7 @@ def test_adoption_years_follow_the_multinomial_law(price_series, subsidy_series)
     params = make_params(**LAW_POINTS["wide_costs"][0])
     replications, base_seed = 1000, 3
     q = exact_law(params, price_series, subsidy_series)
-    annuity, prices, subsidies, utilities = _yearly_inputs(params, price_series, subsidy_series)
-    steps = _kernel_steps(params, utilities)
+    annuity, prices, subsidies, _, steps = _yearly_inputs(params, price_series, subsidy_series)
     cumulative = np.array([
         list(_stochastic_years(params, annuity, prices, subsidies, steps, base_seed + r))
         for r in range(replications)]).sum(axis=0)
@@ -111,8 +110,7 @@ def test_statistics_equal_numpy_over_each_years_values_bit_for_bit(price_series,
     # each year's values reduced as one contiguous list, in replication order
     params = make_params(total_farmers=2000, alpha=0.5, beta=0.2)
     summary = run_monte_carlo(params, price_series, subsidy_series, replications, base_seed=7)
-    annuity, prices, subsidies, utilities = _yearly_inputs(params, price_series, subsidy_series)
-    steps = _kernel_steps(params, utilities)
+    annuity, prices, subsidies, _, steps = _yearly_inputs(params, price_series, subsidy_series)
     curves = [list(_stochastic_years(params, annuity, prices, subsidies, steps, 7 + r))
               for r in range(replications)]
     for row, values in zip(summary.rows, map(list, zip(*curves))):

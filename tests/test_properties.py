@@ -25,7 +25,6 @@ from dairypv.engine import (
     _TINY,
     _annuity,
     _decay,
-    _kernel_steps,
     _needed_steps,
     _probability_array,
     _stochastic_years,
@@ -239,9 +238,8 @@ EVERY_STEP = (replace(ALL_ADOPT[0], pv_cost_max=1e4, total_farmers=300, end_year
 
 
 def test_every_step_example_takes_each_kernel_path():
-    _, _, _, utilities = yearly_inputs(*EVERY_STEP)
-    assert _kernel_steps(EVERY_STEP[0], utilities) == [
-        (True, False), (False, False), (False, True), (True, True)]
+    _, _, _, _, steps = yearly_inputs(*EVERY_STEP)
+    assert steps == [(True, False), (False, False), (False, True), (True, True)]
 
 
 def few_adopt(total_farmers):
@@ -268,16 +266,15 @@ def test_beta_filter_drops_no_adopter(scenario):
     The draw-first beta filter of Monte Carlo finds the same adopters.
     """
     params = scenario[0]
-    annuity, prices, subsidies, utilities = yearly_inputs(*scenario)
+    annuity, prices, subsidies, midpoint, steps = yearly_inputs(*scenario)
     for block, mean_block in ((128, 128), (136, 136), (engine._BLOCK, None)):
         expected = np.array(list(score_every_farmer(params, annuity, prices, subsidies,
                                                     mean_block)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_BLOCK", block)
             run = np.array(list(engine._stochastic_run(params, annuity, prices, subsidies,
-                                                       utilities)))
+                                                       midpoint, steps)))
         assert run.tobytes() == expected.tobytes()
-    steps = _kernel_steps(params, utilities)
     years = list(_stochastic_years(params, annuity, prices, subsidies, steps, params.seed))
     assert np.array(years).tobytes() == expected[:, 3].tobytes()
 
@@ -286,18 +283,20 @@ def test_beta_filter_drops_no_adopter(scenario):
 @given(stochastic_scenarios())
 @example(EVERY_STEP)
 def test_utility_rows_hold_the_midpoint_and_bound_every_farmer(scenario):
-    """Row 1 has the bits of U at midpoint_cost, and the U of every farmer the engine's
-    PCG64(seed) stream draws lies between rows 0 and 2: the finiteness check and
-    _kernel_steps read only those two rows."""
+    """midpoint has the bits of U at midpoint_cost, and no farmer the engine's PCG64(seed)
+    stream draws needs a kernel step that its year's steps lack: the steps are decided
+    from U at the two ends of the cost range only."""
     params = scenario[0]
-    annuity, prices, subsidies, utilities = yearly_inputs(*scenario)
-    lowest, midpoint, highest = utilities
+    annuity, prices, subsidies, midpoint, steps = yearly_inputs(*scenario)
     direct = _utility(params, annuity, prices, params.midpoint_cost, subsidies)
     assert midpoint.tobytes() == direct.tobytes()
     rng = np.random.Generator(np.random.PCG64(params.seed))
     costs = rng.uniform(params.pv_cost_min, params.pv_cost_max, size=params.total_farmers)
     farmers = _utility(params, annuity, prices, costs[:, None], subsidies)
-    assert np.all(lowest <= farmers) and np.all(farmers <= highest)
+    for year_steps, year_farmers in zip(steps, farmers.T.tolist()):
+        for u in year_farmers:
+            needed = _needed_steps(u, u, params.alpha, params.beta, params.total_farmers)
+            assert all(year_step or not step for step, year_step in zip(needed, year_steps))
 
 
 @SETTINGS
@@ -394,8 +393,8 @@ def test_run_records_equal_numpy_kernel_curve(case, alpha, beta):
             adoption_semantics=semantics)
         records = run_simulation(params, prices, subsidies).records
         with np.errstate(over="ignore"):
-            _, _, _, utilities = _yearly_inputs(params, prices, subsidies)
-            expected = deterministic_curve(utilities[1], alpha, beta, n, semantics)
+            _, _, _, midpoint, _ = _yearly_inputs(params, prices, subsidies)
+            expected = deterministic_curve(midpoint, alpha, beta, n, semantics)
         got = [[r.probability for r in records], [r.new_adopters for r in records],
                [r.cumulative_adopters for r in records]]
         assert [[v.hex() for v in column] for column in got] == [
@@ -409,8 +408,8 @@ def test_run_records_equal_numpy_kernel_curve(case, alpha, beta):
 def test_scalar_loss_equals_engine_curve_loss(case, alpha, beta):
     yearly_subsidies, n, observed = case
     params, prices, subsidies = bundled_with_subsidies(yearly_subsidies, total_farmers=n)
-    _, _, _, utilities = _yearly_inputs(params, prices, subsidies)
-    _, _, cumulative = deterministic_curve(utilities[1], alpha, beta, n, "hazard")
+    _, _, _, midpoint, _ = _yearly_inputs(params, prices, subsidies)
+    _, _, cumulative = deterministic_curve(midpoint, alpha, beta, n, "hazard")
     for kind in LOSS_KINDS:
         target = CalibrationTarget(
             observations=tuple((params.start_year + i, v) for i, v in observed), loss=kind)
