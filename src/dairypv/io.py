@@ -4,8 +4,9 @@ The scenario file is a flat YAML mapping of typed scalars; unknown and
 duplicated keys are rejected so typos cannot silently fall back to
 defaults or override an earlier value. Series files are plain CSV with a
 fixed two-column header. Every input file is read once, through one reader
-that names the file in each error. Results are written atomically (temp
-file + rename) so failures never leave partial output.
+that names the file in each error. Results are written atomically, so a
+failure leaves no partial output: a temp file, created exclusively beside
+the target with the mode the OS gives a new file, is renamed over it.
 """
 
 import csv
@@ -14,7 +15,6 @@ import json
 import math
 import os
 import stat
-import tempfile
 import warnings
 from dataclasses import MISSING, fields
 from importlib import resources
@@ -360,24 +360,21 @@ def write_result(result, format, output_path):
     text = render_result(result, format)
     output_path = Path(output_path)
     target = Path(os.path.realpath(output_path))  # through a symlink, as open() writes
+    temp = target.with_name(f"{target.name}.{os.urandom(8).hex()}")
     try:
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", newline="\n",
-            dir=target.parent, prefix=target.name + ".", delete=False,
-        )
+        handle = open(temp, "x", encoding="utf-8", newline="\n")  # O_EXCL at 0o666, as "w" creates
         try:
             with handle:
                 handle.write(text)
-            try:  # the mode open(output_path, "w") would leave, not mkstemp's 0600
+            try:  # a replaced file keeps its mode, as open(output_path, "w") leaves it
                 mode = stat.S_IMODE(os.stat(target).st_mode)
             except FileNotFoundError:
-                umask = os.umask(0)  # reading the umask sets it; put it back
-                os.umask(umask)
-                mode = 0o666 & ~umask
-            os.chmod(handle.name, mode)
-            os.replace(handle.name, target)
+                pass
+            else:
+                os.chmod(temp, mode)
+            os.replace(temp, target)
         except BaseException:
-            os.unlink(handle.name)
+            os.unlink(temp)
             raise
     except OSError as exc:  # name the output, never the temp file
         if exc.filename is None:

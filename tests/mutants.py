@@ -217,6 +217,104 @@ MUTANTS = [
     Mutant("target_equal_to_total_rejected", "calibration.py",
            "0 <= value <= params.total_farmers", "0 <= value < params.total_farmers",
            "TestCalibrationTarget::test_validate_against_params"),
+    Mutant("negative_target_accepted", "calibration.py",
+           "0 <= value <= params.total_farmers", "value <= params.total_farmers",
+           "TestCalibrationTarget::test_validate_against_params"),
+    Mutant("target_year_before_start_accepted", "calibration.py",
+           "params.start_year <= year <= params.end_year", "year <= params.end_year",
+           "TestCalibrate::test_target_validated_against_scenario"),
+    Mutant("target_year_after_end_accepted", "calibration.py",
+           "params.start_year <= year <= params.end_year", "params.start_year <= year",
+           "TestCalibrationTarget::test_validate_against_params"),
+    Mutant("empty_target_accepted", "calibration.py", "if not observations:", "if False:",
+           "TestCalibrationTarget::test_requires_observations"),
+    Mutant("duplicate_target_years_accepted", "calibration.py",
+           "if len(set(years)) != len(years):", "if False:",
+           "TestCalibrationTarget::test_duplicate_years_rejected"),
+    Mutant("unknown_target_loss_accepted", "calibration.py",
+           "if self.loss not in LOSS_KINDS:", "if False:",
+           "TestCalibrationTarget::test_loss_kind_checked"),
+    Mutant("negative_loss_accepted", "calibration.py",
+           "if self.achieved_loss < 0:", "if False:",
+           "test_result_constructors_reject_an_impossible_value[negative_loss]"),
+    Mutant("budget_equal_to_the_grid_rejected", "calibration.py",
+           "if budget < GRID_SIZE:", "if budget <= GRID_SIZE:",
+           "TestCalibrate::test_grid_only_budget_returns_best_grid_point"),
+    Mutant("budget_exhausted_one_late", "calibration.py",
+           "self.evaluations >= self.budget", "self.evaluations > self.budget",
+           "TestCalibrate::test_grid_only_budget_returns_best_grid_point"),
+    Mutant("clamp_floor_dropped", "calibration.py",
+           "return lo if value < lo else hi if value > hi else value",
+           "return hi if value > hi else value",
+           "test_search_path_is_pinned[absolute-3], criterion 6"),
+    Mutant("clamp_cap_dropped", "calibration.py",
+           "return lo if value < lo else hi if value > hi else value",
+           "return lo if value < lo else value",
+           "test_search_path_is_pinned[bundled], "
+           "test_output_matches_golden_bytes[calibrate_target_2022.json]"),
+
+    # the objective: its caches, its scalar poll and its loss
+    Mutant("poll_sign_mask_negated", "calibration.py",
+           "(utilities >= 0).tolist()", "(utilities < 0).tolist()",
+           "test_scalar_loss_equals_engine_curve_loss, criterion 6"),
+    Mutant("loss_kind_test_negated", "calibration.py",
+           'target.loss == "squared_error"', 'target.loss != "squared_error"',
+           "TestEvaluateLoss::test_absolute_error_loss"),
+    Mutant("squared_test_negated", "calibration.py",
+           "diff * diff if self._squared else", "diff * diff if not self._squared else",
+           "TestEvaluateLoss::test_absolute_error_loss"),
+    Mutant("decay_cache_ignored", "calibration.py", "if decay is None:", "if True:",
+           "test_alpha_half_is_computed_once_per_scored_alpha"),
+    Mutant("score_cache_ignored", "calibration.py", "if loss is None:", "if True:",
+           "test_no_point_is_scored_twice"),
+    Mutant("poll_p_floor_dropped", "calibration.py",
+           "p = lo if p < lo else hi if p > hi else p", "p = hi if p > hi else p",
+           "test_scalar_loss_equals_engine_curve_loss, test_grid_losses_equal_scalar_losses"),
+    Mutant("poll_p_cap_dropped", "calibration.py",
+           "p = lo if p < lo else hi if p > hi else p", "p = lo if p < lo else p",
+           "test_search_path_is_pinned[bundled]"),
+    Mutant("nonfinite_grid_cells_kept", "calibration.py",
+           "for cell in objective.grid() if math.isfinite(cell[0]))",
+           "for cell in objective.grid())",
+           "TestCalibrateCommand::test_no_finite_grid_loss_exits_2"),
+    Mutant("no_finite_grid_cell_not_reported", "calibration.py", "if not grid:", "if False:",
+           "TestCalibrateCommand::test_no_finite_grid_loss_exits_2"),
+
+    # the pattern search
+    Mutant("explore_ignores_budget", "calibration.py",
+           "            if objective.exhausted:\n                return point, value",
+           "            if False:\n                return point, value",
+           "test_no_point_is_scored_twice, test_search_path_is_pinned"),
+    Mutant("explore_polls_an_unmoved_coordinate", "calibration.py",
+           "if moved == point[axis]:", "if False:",
+           "a poll at the bound spends budget: test_search_path_is_pinned[bundled]"),
+    Mutant("explore_axis_test_negated", "calibration.py",
+           "if axis == 0 else", "if axis != 0 else",
+           "test_search_path_is_pinned[bundled], criterion 6"),
+    Mutant("explore_moves_on_a_tie", "calibration.py",
+           "if result[0] < value[0]:", "if result[0] <= value[0]:",
+           "test_sweep_moves_only_to_a_lower_finite_loss[from_inf]"),
+    Mutant("pattern_search_ignores_budget", "calibration.py",
+           "while not objective.exhausted and step", "while step",
+           "test_no_point_is_scored_twice, "
+           "test_calibration_matches_fixture[1-squared_error-401]"),
+    Mutant("pattern_moves_never_made", "calibration.py",
+           "if previous is None:\n            origin,", "if True:\n            origin,",
+           "test_search_path_is_pinned[bundled], criterion 6"),
+    Mutant("pattern_search_accepts_a_tie", "calibration.py",
+           "if new_value[0] < value[0]:", "if new_value[0] <= value[0]:",
+           "test_search_path_is_pinned, criterion 6"),
+    Mutant("step_never_halved", "calibration.py", "elif previous is None:", "elif False:",
+           "test_search_path_is_pinned, criterion 6"),
+    Mutant("budget_cut_reported_converged", "calibration.py",
+           "return value, step < REFINE_TOLERANCE", "return value, True",
+           "test_calibration_matches_fixture[1-squared_error-401]"),
+    Mutant("restarts_ignore_budget", "calibration.py",
+           "        if objective.exhausted:\n            break",
+           "        if False:\n            break",
+           "a start taken with the budget spent polls nothing and returns itself "
+           "unconverged, which cannot beat the best grid cell it follows in loss order",
+           equivalent=True),
 
     # rendering and writing
     Mutant("csv_drops_last_row", "io.py",
@@ -236,8 +334,20 @@ MUTANTS = [
            "handle.write(text)",
            f'handle.write(text + "\\n" * ({_CALL_NUMBER.format("os")} - 1))',
            "test_output_matches_golden_bytes, TestWriteResult::test_write_and_reread"),
-    Mutant("new_out_file_mode_0600", "io.py", "0o666 & ~umask", "0o600",
-           "TestWriteResult::test_mode_is_what_open_for_writing_leaves"),
+    Mutant("new_out_file_mode_0600", "io.py",
+           'open(temp, "x",',
+           'open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "w",',
+           "TestWriteResult::test_mode_is_what_open_for_writing_leaves, "
+           "TestWriteResult::test_mode_needs_no_umask_call"),
+    Mutant("existing_mode_not_copied", "io.py", "os.chmod(temp, mode)", "pass",
+           "TestWriteResult::test_mode_needs_no_umask_call, "
+           "TestWriteResult::test_a_symlink_is_written_through"),
+    Mutant("failed_create_unlinks_the_temp", "io.py",
+           "    except OSError as exc:  # name the output, never the temp file\n",
+           "    except OSError as exc:  # name the output, never the temp file\n"
+           "        temp.unlink(missing_ok=True)\n",
+           "another writer's file at the temp name is deleted: TestWriteResult::"
+           "test_a_taken_temp_name_fails_naming_the_output_and_removes_nothing"),
     Mutant("out_symlink_replaced", "io.py",
            "target = Path(os.path.realpath(output_path))", "target = output_path",
            "TestWriteResult::test_a_symlink_is_written_through"),

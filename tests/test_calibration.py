@@ -46,12 +46,13 @@ class TestCalibrationTarget:
             CalibrationTarget(observations=((2022, 441.0),), loss="rmse")
 
     def test_validate_against_params(self, default_params):
-        for value in (441.0, float(default_params.total_farmers)):  # every farmer is valid
+        for value in (0.0, 441.0, float(default_params.total_farmers)):  # none to every farmer
             CalibrationTarget(observations=((2022, value),)).validate_against(default_params)
         with pytest.raises(ValidationError, match="2030"):
             CalibrationTarget(observations=((2030, 10.0),)).validate_against(default_params)
-        with pytest.raises(ValidationError, match="outside"):
-            CalibrationTarget(observations=((2022, 99999.0),)).validate_against(default_params)
+        for value in (-1.0, 99999.0):
+            with pytest.raises(ValidationError, match="outside"):
+                CalibrationTarget(observations=((2022, value),)).validate_against(default_params)
 
 
 class TestEvaluateLoss:

@@ -4,7 +4,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 from collections import Counter
 from contextlib import nullcontext
 from pathlib import Path
@@ -433,6 +432,34 @@ class TestWriteResult:
         finally:
             os.umask(umask)
 
+    def test_mode_needs_no_umask_call(self, tmp_path, monkeypatch):
+        # the OS applies the umask to the create; reading it would set it process-wide
+        out = tmp_path / "result.csv"
+        umask = os.umask(0o022)
+        try:
+            monkeypatch.setattr(os, "umask", _umask_called)
+            write_result(small_result(), "csv", out)
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644
+            out.chmod(0o640)
+            write_result(small_result(), "csv", out)
+            assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        finally:
+            monkeypatch.undo()
+            os.umask(umask)
+
+    def test_a_taken_temp_name_fails_naming_the_output_and_removes_nothing(self, tmp_path,
+                                                                           monkeypatch):
+        out = tmp_path / "result.csv"
+        out.write_bytes(b"previous result\n")
+        taken = tmp_path / f"result.csv.{bytes(8).hex()}"
+        taken.write_bytes(b"another writer's file\n")
+        monkeypatch.setattr(os, "urandom", bytes)  # bytes(8): eight zero bytes
+        with pytest.raises(OSError) as raised:
+            write_result(small_result(), "csv", out)
+        assert raised.value.filename == str(out)
+        assert out.read_bytes() == b"previous result\n"
+        assert taken.read_bytes() == b"another writer's file\n"
+
     def test_a_symlink_is_written_through(self, tmp_path):
         # as open(out, "w") writes: the link stays, its target takes the text and keeps its mode
         target, out = tmp_path / "target.csv", tmp_path / "out.csv"
@@ -457,11 +484,12 @@ def _raise_on_replace(src, dst):
     raise OSError("replace refused")
 
 
-_NamedTemporaryFile = tempfile.NamedTemporaryFile
+def _umask_called(mask):
+    raise AssertionError("os.umask called")
 
 
 def _temp_file_whose_write_raises(*args, **kwargs):
-    handle = _NamedTemporaryFile(*args, **kwargs)
+    handle = builtins.open(*args, **kwargs)
 
     def write(text):
         raise OSError("disk full")
@@ -472,13 +500,13 @@ def _temp_file_whose_write_raises(*args, **kwargs):
 
 @pytest.mark.parametrize("patch", [
     ("os.replace", _raise_on_replace),
-    ("tempfile.NamedTemporaryFile", _temp_file_whose_write_raises),
+    ("dairypv.io.open", _temp_file_whose_write_raises),
 ])
 def test_failed_write_keeps_existing_output_and_leaves_no_temp_file(tmp_path, monkeypatch,
                                                                     patch):
     out = tmp_path / "result.csv"
     out.write_bytes(b"previous result\n")
-    monkeypatch.setattr(*patch)
+    monkeypatch.setattr(*patch, raising=False)  # a global open in dairypv.io shadows the builtin
     with pytest.raises(OSError):
         write_result(small_result(), "csv", out)
     monkeypatch.undo()
