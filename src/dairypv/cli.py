@@ -64,7 +64,7 @@ def build_parser():
     cal.add_argument("--target", help="target CSV (year,cumulative_adopters; "
                      "default: the scenario's target_series)")
     cal.add_argument("--budget", type=int, default=2000,
-                     help="max objective evaluations (default 2000)")
+                     help="max (alpha, beta) points scored (default 2000)")
 
     mc = command("monte-carlo", _monte_carlo, "replicate the stochastic simulation; CSV",
                  format="csv")

@@ -41,7 +41,7 @@ class Mutant(NamedTuple):
 _CALL_NUMBER = '((_c := vars({0}).setdefault("_mutant_calls", [])), _c.append(0), len(_c))[2]'
 
 MUTANTS = [
-    # the three equivalents: each survives tier-1 because no input can tell it apart
+    # the engine's two equivalents: each survives tier-1 because no input can tell it apart
     Mutant("sign_select_gt", "engine.py",
            "np.maximum(e, utilities >= 0)", "np.maximum(e, utilities > 0)",
            "at U = +-0, e = exp(-0) = 1, so max(e, U >= 0) = max(e, U > 0) = 1",
@@ -50,10 +50,6 @@ MUTANTS = [
            "np.flatnonzero(draws < params.beta)", "np.flatnonzero(draws <= params.beta)",
            "p < beta always, so a draw equal to beta is scored but never adopts",
            equivalent=True),
-    Mutant("refine_tolerance_gt", "calibration.py",
-           "step >= REFINE_TOLERANCE:", "step > REFINE_TOLERANCE:",
-           "no halving of _INITIAL_STEP (5/19) equals 1e-6; "
-           "test_no_halved_step_equals_the_tolerance_so_gt_and_ge_agree", equivalent=True),
 
     # the probability kernel and the hazard recurrence
     Mutant("sign_select_flipped", "engine.py",
@@ -202,18 +198,7 @@ MUTANTS = [
            "if not self.min <= self.mean <= self.max:", "if not self.min <= self.mean:",
            "test_result_constructors_reject_an_impossible_value[mean_above_max]"),
 
-    # calibration
-    Mutant("grid_best_without_pattern_search", "calibration.py",
-           "value, reached_tol = _pattern_search(objective, point, start, _INITIAL_STEP)",
-           "value, reached_tol = start, True", "criteria 1 and 6"),
-    Mutant("search_starts_drift_per_call", "calibration.py",
-           "            break\n        point = (math.log10(start[1]),",
-           # the call's number, taken when its first pattern search starts
-           "            break\n        drift = vars(objective).get(\"drift\") if "
-           "\"drift\" in vars(objective) else "
-           f"vars(objective).setdefault(\"drift\", {_CALL_NUMBER.format('math')} - 1)\n"
-           "        point = (math.log10(start[1]) + 1e-9 * drift,",
-           "test_calibration_matches_fixture, test_search_path_is_pinned"),
+    # calibration's inputs and result
     Mutant("target_equal_to_total_rejected", "calibration.py",
            "0 <= value <= params.total_farmers", "0 <= value < params.total_farmers",
            "TestCalibrationTarget::test_validate_against_params"),
@@ -240,81 +225,73 @@ MUTANTS = [
     Mutant("budget_equal_to_the_grid_rejected", "calibration.py",
            "if budget < GRID_SIZE:", "if budget <= GRID_SIZE:",
            "TestCalibrate::test_grid_only_budget_returns_best_grid_point"),
-    Mutant("budget_exhausted_one_late", "calibration.py",
-           "self.evaluations >= self.budget", "self.evaluations > self.budget",
-           "TestCalibrate::test_grid_only_budget_returns_best_grid_point"),
-    Mutant("clamp_floor_dropped", "calibration.py",
-           "return lo if value < lo else hi if value > hi else value",
-           "return hi if value > hi else value",
-           "test_search_path_is_pinned[absolute-3], criterion 6"),
-    Mutant("clamp_cap_dropped", "calibration.py",
-           "return lo if value < lo else hi if value > hi else value",
-           "return lo if value < lo else value",
-           "test_search_path_is_pinned[bundled], "
-           "test_output_matches_golden_bytes[calibrate_target_2022.json]"),
 
-    # the objective: its caches, its scalar poll and its loss
-    Mutant("poll_sign_mask_negated", "calibration.py",
-           "(utilities >= 0).tolist()", "(utilities < 0).tolist()",
-           "test_scalar_loss_equals_engine_curve_loss, criterion 6"),
+    # the level scorer
     Mutant("loss_kind_test_negated", "calibration.py",
            'target.loss == "squared_error"', 'target.loss != "squared_error"',
-           "TestEvaluateLoss::test_absolute_error_loss"),
-    Mutant("squared_test_negated", "calibration.py",
-           "diff * diff if self._squared else", "diff * diff if not self._squared else",
-           "TestEvaluateLoss::test_absolute_error_loss"),
-    Mutant("decay_cache_ignored", "calibration.py", "if decay is None:", "if True:",
-           "test_alpha_half_is_computed_once_per_scored_alpha"),
-    Mutant("score_cache_ignored", "calibration.py", "if loss is None:", "if True:",
-           "test_no_point_is_scored_twice"),
-    Mutant("poll_p_floor_dropped", "calibration.py",
-           "p = lo if p < lo else hi if p > hi else p", "p = hi if p > hi else p",
-           "test_scalar_loss_equals_engine_curve_loss, test_grid_losses_equal_scalar_losses"),
-    Mutant("poll_p_cap_dropped", "calibration.py",
-           "p = lo if p < lo else hi if p > hi else p", "p = lo if p < lo else p",
-           "test_search_path_is_pinned[bundled]"),
-    Mutant("nonfinite_grid_cells_kept", "calibration.py",
-           "for cell in objective.grid() if math.isfinite(cell[0]))",
-           "for cell in objective.grid())",
-           "TestCalibrateCommand::test_no_finite_grid_loss_exits_2"),
-    Mutant("no_finite_grid_cell_not_reported", "calibration.py", "if not grid:", "if False:",
-           "TestCalibrateCommand::test_no_finite_grid_loss_exits_2"),
+           "test_scalar_loss_equals_engine_curve_loss"),
+    Mutant("level_squared_test_negated", "calibration.py",
+           "diff * diff if squared else", "diff * diff if not squared else",
+           "test_scalar_loss_equals_engine_curve_loss"),
+    Mutant("values_not_clipped", "calibration.py",
+           "return np.clip(powers, *bounds)", "return np.array(powers)",
+           "coordinates are clipped to the log10 bounds, where 10.0**x gives each bound "
+           "exactly (test_the_log10_bounds_give_the_bounds_exactly) and is monotone "
+           "between them", equivalent=True),
 
-    # the pattern search
-    Mutant("explore_ignores_budget", "calibration.py",
-           "            if objective.exhausted:\n                return point, value",
-           "            if False:\n                return point, value",
-           "test_no_point_is_scored_twice, test_search_path_is_pinned"),
-    Mutant("explore_polls_an_unmoved_coordinate", "calibration.py",
-           "if moved == point[axis]:", "if False:",
-           "a poll at the bound spends budget: test_search_path_is_pinned[bundled]"),
-    Mutant("explore_axis_test_negated", "calibration.py",
-           "if axis == 0 else", "if axis != 0 else",
-           "test_search_path_is_pinned[bundled], criterion 6"),
-    Mutant("explore_moves_on_a_tie", "calibration.py",
-           "if result[0] < value[0]:", "if result[0] <= value[0]:",
-           "test_sweep_moves_only_to_a_lower_finite_loss[from_inf]"),
-    Mutant("pattern_search_ignores_budget", "calibration.py",
-           "while not objective.exhausted and step", "while step",
-           "test_no_point_is_scored_twice, "
-           "test_calibration_matches_fixture[1-squared_error-401]"),
-    Mutant("pattern_moves_never_made", "calibration.py",
-           "if previous is None:\n            origin,", "if True:\n            origin,",
-           "test_search_path_is_pinned[bundled], criterion 6"),
-    Mutant("pattern_search_accepts_a_tie", "calibration.py",
-           "if new_value[0] < value[0]:", "if new_value[0] <= value[0]:",
-           "test_search_path_is_pinned, criterion 6"),
-    Mutant("step_never_halved", "calibration.py", "elif previous is None:", "elif False:",
-           "test_search_path_is_pinned, criterion 6"),
-    Mutant("budget_cut_reported_converged", "calibration.py",
-           "return value, step < REFINE_TOLERANCE", "return value, True",
-           "test_calibration_matches_fixture[1-squared_error-401]"),
-    Mutant("restarts_ignore_budget", "calibration.py",
-           "        if objective.exhausted:\n            break",
-           "        if False:\n            break",
-           "a start taken with the budget spent polls nothing and returns itself "
-           "unconverged, which cannot beat the best grid cell it follows in loss order",
+    # the profile search
+    Mutant("nan_losses_kept", "calibration.py",
+           "losses[np.isnan(losses)] = math.inf", "pass",
+           "no loss is NaN: p is never NaN for finite U, alpha and beta, levels stay in "
+           "[0, N(1 + 2**-52)] and observations are finite, so each term is finite or +inf",
            equivalent=True),
+    Mutant("profile_takes_each_alphas_worst_beta", "calibration.py",
+           "losses.argmin(axis=1)", "losses.argmax(axis=1)",
+           "TestCalibrate::test_grid_only_budget_returns_best_grid_point"),
+    Mutant("profile_takes_the_worst_alpha", "calibration.py",
+           "row = int(profile.argmin())", "row = int(profile.argmax())",
+           "TestCalibrate::test_grid_only_budget_returns_best_grid_point"),
+    Mutant("best_is_the_last_levels_best", "calibration.py",
+           "best = min(best, cell)", "best = cell",
+           "each level scores the previous level's best cell again (offset 0 on both axes, "
+           "its beta interpolated at a node), with the same bits "
+           "(test_level_losses_equal_run_simulation_losses), so a level's best never sorts "
+           "after the running best", equivalent=True),
+    Mutant("no_finite_cell_not_reported", "calibration.py",
+           "if not math.isfinite(best[0]):", "if False:",
+           "TestCalibrateCommand::test_no_finite_grid_loss_exits_2"),
+    Mutant("converged_at_the_tolerance", "calibration.py",
+           "max(half_alpha, half_beta) < REFINE_TOLERANCE",
+           "max(half_alpha, half_beta) <= REFINE_TOLERANCE",
+           "no third of _GRID_STEP equals 1e-6: "
+           "test_no_third_of_the_grid_step_equals_the_tolerance_so_lt_and_le_agree",
+           equivalent=True),
+    Mutant("converged_on_either_half_width", "calibration.py",
+           "max(half_alpha, half_beta) < REFINE_TOLERANCE",
+           "min(half_alpha, half_beta) < REFINE_TOLERANCE",
+           "test_calibration_matches_fixture, "
+           "TestCalibrate::test_a_level_that_fits_the_budget_exactly_is_scored"),
+    Mutant("one_more_beta_level", "calibration.py",
+           "zoom = level >= _BETA_LEVELS", "zoom = level > _BETA_LEVELS",
+           "test_evaluations_are_whole_levels_within_the_budget, "
+           "test_calibration_matches_fixture"),
+    Mutant("next_level_size_swapped", "calibration.py",
+           "(len(_OFFSETS) if zoom else len(alphas))",
+           "(len(_OFFSETS) if not zoom else len(alphas))",
+           "a 20x7 level is taken for 49 cells and passes the budget: "
+           "test_evaluations_are_whole_levels_within_the_budget, "
+           "test_calibration_matches_fixture[1-squared_error-777]"),
+    Mutant("level_fitting_the_budget_exactly_skipped", "calibration.py",
+           "evaluations + size > budget", "evaluations + size >= budget",
+           "TestCalibrate::test_a_level_that_fits_the_budget_exactly_is_scored"),
+    Mutant("converged_search_keeps_zooming", "calibration.py",
+           "if converged or evaluations", "if evaluations",
+           "test_calibration_matches_fixture, "
+           "test_output_matches_golden_bytes[calibrate_target_2022.json]"),
+    Mutant("alpha_never_zoomed", "calibration.py",
+           "if zoom:  #", "if False:  #",
+           "test_calibration_matches_fixture, "
+           "TestCalibrate::test_a_level_that_fits_the_budget_exactly_is_scored"),
 
     # rendering and writing
     Mutant("csv_drops_last_row", "io.py",

@@ -5,7 +5,8 @@ savings, their net present value over the horizon, then the net
 installation cost. The engine's affine `_utility` kernel must agree with it
 to rounding. The deterministic curve takes the numpy probability kernel
 over all years, then the yearly recurrence; `run` (through `engine._hazard`)
-and calibration's scalar poll scorer `_Objective.loss` must give its bits.
+must give its bits, and each loss the calibrator scores must be its run's
+loss.
 The stochastic run scores every remaining farmer at once, from the same
 PCG64 stream as the engine; the engine, which scores pieces of farmers,
 must make the same decisions. The adoption law is what a stochastic run's
@@ -15,11 +16,11 @@ Inputs are not checked here; the program checks them at its boundaries
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from dairypv.calibration import _Objective
-from dairypv.engine import _probability_array, _utility, _yearly_inputs
+from dairypv.engine import _probability_array, _utility, _yearly_inputs, run_simulation
 
 
 def annual_savings(generation_kwh, energy_price, pv_cost, maintenance_rate):
@@ -117,8 +118,19 @@ def adoption_law(params, prices, subsidies, nodes=16):
 
 
 def evaluate_loss(candidate, params, prices, subsidies, target):
-    """Calibration loss of one (alpha, beta) candidate, through the calibrator's objective."""
-    return _Objective(params, prices, subsidies, target, budget=1).loss(*candidate)
+    """Calibration loss of one (alpha, beta) candidate: the deterministic hazard run's
+    cumulative adopters scored against the target, each observation's error summed in
+    target order."""
+    alpha, beta = candidate
+    params = replace(params, alpha=alpha, beta=beta, mode="deterministic",
+                     adoption_semantics="hazard")
+    records = run_simulation(params, prices, subsidies).records
+    levels = {record.year: record.cumulative_adopters for record in records}
+    loss = 0.0
+    for year, value in target.observations:
+        diff = levels[year] - value
+        loss += diff * diff if target.loss == "squared_error" else abs(diff)
+    return loss
 
 
 def round_half_up(value):

@@ -1,19 +1,19 @@
-import hashlib
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dairypv import calibration
 from dairypv.calibration import (
+    _GRID_STEP,
+    _LOG_ALPHA,
+    _LOG_BETA,
+    ALPHA_BOUNDS,
+    BETA_BOUNDS,
     GRID_ALPHAS,
     GRID_BETAS,
     GRID_SIZE,
     REFINE_TOLERANCE,
-    _INITIAL_STEP,
     CalibrationTarget,
-    _Objective,
     calibrate,
 )
 from dairypv.domain import YearSeries
@@ -152,6 +152,13 @@ class TestCalibrate:
         assert result.converged is False
         assert (result.achieved_loss, result.alpha, result.beta) == (loss, alpha, beta)
 
+    def test_a_level_that_fits_the_budget_exactly_is_scored(self, default_bundle):
+        # the whole search is the grid, 4 levels of 20x7 cells and 12 of 7x7: 1548 cells
+        fit = calibrate(*default_bundle, budget=1548)
+        assert (fit.evaluations, fit.converged) == (1548, True)
+        fit = calibrate(*default_bundle, budget=1547)
+        assert (fit.evaluations, fit.converged) == (1499, False)
+
     def test_refinement_only_improves(self, default_params, price_series, subsidy_series):
         target = CalibrationTarget(observations=((2022, 441.0),))
         grid_best = brute_force_grid_best(default_params, price_series, subsidy_series, target)
@@ -174,128 +181,39 @@ class TestCalibrate:
             params, prices, subsidies, target)
 
 
-OBSERVATIONS = [
-    ((2022, 441.0),),
-    ((2008, 641.0), (2013, 1425.0)),
-    ((2005, 57.0), (2007, 173.0), (2020, 942.0)),
-]
+# perfbench calibrate targets (seed, op) on which the restarted Hooke-Jeeves search that
+# the profile search replaced stopped above loss/scale 1e-4 at budget 2000; the values are
+# those perfbench's generator writes.
+STUCK_BASINS = {
+    "seed3-op23": ((2005, 113.50975023164195), (2013, 1494.4532316836217),
+                   (2021, 2932.4001912416707)),
+    "seed8-op62": ((2008, 723.5878779988692), (2009, 902.8551332886702)),
+    "seed15-op18": ((2005, 30.284902579884022), (2007, 94.09284913511439),
+                    (2014, 346.01946095001045)),
+    "seed20-op13": ((2006, 35.0252701605302), (2018, 266.26598887709827),
+                    (2022, 351.67452787934985)),
+}
 
 
-@pytest.mark.parametrize("observations", OBSERVATIONS)
-def test_no_point_is_scored_twice(default_params, price_series, subsidy_series, monkeypatch,
-                                  observations):
-    scored = []
-    grid, loss = _Objective.grid, _Objective.loss
-
-    def recording_grid(self):
-        cells = grid(self)
-        scored.extend((alpha, beta) for _, alpha, beta in cells)
-        return cells
-
-    def recording_loss(self, alpha, beta):
-        scored.append((alpha, beta))
-        return loss(self, alpha, beta)
-
-    monkeypatch.setattr(_Objective, "grid", recording_grid)
-    monkeypatch.setattr(_Objective, "loss", recording_loss)
-    target = CalibrationTarget(observations=observations)
-    result = calibrate(default_params, price_series, subsidy_series, target, budget=2000)
-    assert result.evaluations == 2000
-    assert len(set(scored)) == len(scored)
-    # Hooke-Jeeves re-polls points, so fewer points are scored than evaluated
-    assert GRID_SIZE < len(scored) < result.evaluations
-
-
-@pytest.mark.parametrize("observations", OBSERVATIONS)
-def test_alpha_half_is_computed_once_per_scored_alpha(
-        default_params, price_series, subsidy_series, monkeypatch, observations):
-    computed, polled = [], []
-    decay, loss = calibration._decay, _Objective.loss
-
-    def recording_decay(magnitudes, alpha, total_farmers):
-        computed.extend(np.ravel(alpha).tolist())
-        return decay(magnitudes, alpha, total_farmers)
-
-    def recording_loss(self, alpha, beta):
-        polled.append(alpha)
-        return loss(self, alpha, beta)
-
-    monkeypatch.setattr(calibration, "_decay", recording_decay)
-    monkeypatch.setattr(_Objective, "loss", recording_loss)
-    target = CalibrationTarget(observations=observations)
-    calibrate(default_params, price_series, subsidy_series, target, budget=2000)
-    assert len(set(computed)) == len(computed)
-    # the grid keeps no e list, so only a polled alpha has one
-    assert set(computed) == set(polled)
-    # beta polls reuse an alpha, so fewer e lists are computed than points polled
-    assert len(computed) < len(polled)
-
-
-# sha256 of every poll's (alpha.hex(), beta.hex(), loss.hex()), in call order, at budget
-# 2000: the bundled target (squared error), then each of OBSERVATIONS under absolute error.
-SEARCH_PATHS = [
-    (None, "95eda169b331176f22e8f241a851e89b8ba647285e9bf52c9c196a26dc64390d"),
-    (OBSERVATIONS[0], "d5706e3b523ce447d4bb61939dfe6d69b5613f4d87178a13b03ff5675da52947"),
-    (OBSERVATIONS[1], "451cd13d5f6b1eba6f0e2442c55d8067f12db94c168e8fc79cd6f7b3b2319f8a"),
-    (OBSERVATIONS[2], "c7488bcc2f5accb756fe81593323b1c12a6cc964fbe7072cacc3239c04162007"),
-]
-
-
-@pytest.mark.parametrize("observations, expected", SEARCH_PATHS,
-                         ids=["bundled", "absolute-1", "absolute-2", "absolute-3"])
-def test_search_path_is_pinned(default_bundle, monkeypatch, observations, expected):
-    target = (default_bundle.target if observations is None else
-              CalibrationTarget(observations=observations, loss="absolute_error"))
-    digest = hashlib.sha256()
-    call = _Objective.__call__
-
-    def recording_call(self, log_alpha, log_beta):
-        value = call(self, log_alpha, log_beta)
-        loss, alpha, beta = value
-        digest.update(f"{alpha.hex()} {beta.hex()} {loss.hex()}\n".encode())
-        return value
-
-    monkeypatch.setattr(_Objective, "__call__", recording_call)
+@pytest.mark.parametrize("observations", STUCK_BASINS.values(), ids=STUCK_BASINS)
+def test_former_stuck_basins_are_fitted(default_bundle, observations):
     params, prices, subsidies, _ = default_bundle
-    calibrate(params, prices, subsidies, target, budget=2000)
-    assert digest.hexdigest() == expected
+    fit = calibrate(params, prices, subsidies, CalibrationTarget(observations=observations),
+                    budget=2000)
+    assert fit.converged
+    assert fit.achieved_loss <= 1e-4 * sum(value * value for _, value in observations)
 
 
-class StubObjective:
-    """Returns the given losses in poll order and records the polled points."""
-
-    exhausted = False
-
-    def __init__(self, losses):
-        self._losses = iter(losses)
-        self.polls = []
-
-    def __call__(self, log_alpha, log_beta):
-        self.polls.append((log_alpha, log_beta))
-        return next(self._losses), 10.0**log_alpha, 10.0**log_beta
+def test_no_third_of_the_grid_step_equals_the_tolerance_so_lt_and_le_agree():
+    # a level is scored while a half-width is >= REFINE_TOLERANCE; each level cuts a
+    # half-width from _GRID_STEP to a third, and none of those, down to 0, is that float
+    widths = [_GRID_STEP]
+    while widths[-1]:
+        widths.append(widths[-1] / 3.0)
+    assert REFINE_TOLERANCE not in widths
 
 
-@pytest.mark.parametrize("start_loss, losses, moved_to", [
-    (1.0, [math.nan] * 4, None),
-    (1.0, [math.inf] * 4, None),
-    (math.inf, [math.nan, math.inf, 3.0], (0.0, -1.5)),  # an overflowed pattern probe
-    (math.nan, [0.0, math.inf, 1.0, math.nan], None),  # a NaN pattern probe
-], ids=["nan_polls", "inf_polls", "from_inf", "from_nan"])
-def test_sweep_moves_only_to_a_lower_finite_loss(start_loss, losses, moved_to):
-    start, start_value = (0.0, -2.0), (start_loss, 1.0, 0.01)
-    objective = StubObjective(losses)
-    point, value = calibration._explore(objective, start, start_value, 0.5)
-    assert len(objective.polls) == len(losses)
-    if moved_to is None:
-        assert (point, value) == (start, start_value)
-    else:
-        assert (point, value[0]) == (moved_to, losses[-1])
-
-
-def test_no_halved_step_equals_the_tolerance_so_gt_and_ge_agree():
-    # _pattern_search runs while step >= REFINE_TOLERANCE; `>` would differ only at a
-    # step equal to it, and no halving of _INITIAL_STEP, down to 0, is that float
-    steps = [_INITIAL_STEP]
-    while steps[-1]:
-        steps.append(steps[-1] / 2.0)
-    assert REFINE_TOLERANCE not in steps
+def test_the_log10_bounds_give_the_bounds_exactly():
+    # searched coordinates are clipped to these, so with Python's monotone 10.0**x no
+    # searched value leaves the bounds before calibration._values clips it
+    assert [10.0**x for x in (*_LOG_ALPHA, *_LOG_BETA)] == [*ALPHA_BOUNDS, *BETA_BOUNDS]

@@ -230,11 +230,10 @@ def test_coverage_gap_fails_before_any_draw_or_grid_cell(default_bundle, monkeyp
     def no_work(*args):
         raise AssertionError("work started before the coverage check")
 
-    # every draw starts from a PCG64, and every grid cell or poll from the kernel or _decay
+    # every draw starts from a PCG64, and every calibration level from the kernel
     monkeypatch.setattr(np.random, "PCG64", no_work)
-    for module, name in ((engine, "_probability_array"), (calibration, "_probability_array"),
-                         (calibration, "_decay")):
-        monkeypatch.setattr(module, name, no_work)
+    for module in (engine, calibration):
+        monkeypatch.setattr(module, "_probability_array", no_work)
     with pytest.raises(CoverageGapError) as excinfo:
         if entry == "monte-carlo":
             run_monte_carlo(params, prices, subsidies, replications=3, base_seed=0)

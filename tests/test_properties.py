@@ -1,4 +1,5 @@
-"""Property tests for the engine kernels and the stochastic yearly loop."""
+"""Property tests for the engine kernels, the stochastic yearly loop and the calibration
+levels."""
 
 import math
 from dataclasses import replace
@@ -10,15 +11,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dairypv.calibration import (
+    _BETA_LEVELS,
+    _OFFSETS,
     ALPHA_BOUNDS,
     BETA_BOUNDS,
     GRID_ALPHAS,
-    GRID_BETAS,
+    GRID_POINTS_PER_AXIS,
+    GRID_SIZE,
     LOSS_KINDS,
     CalibrationTarget,
-    _Objective,
+    _scorer,
+    calibrate,
 )
-from dairypv import engine
+from dairypv import calibration, engine
 from dairypv.domain import ScenarioParams, YearSeries
 from dairypv.io import load_default_scenario
 from dairypv.engine import (
@@ -32,7 +37,7 @@ from dairypv.engine import (
     _yearly_inputs,
     run_simulation,
 )
-from reference import agent_utility, deterministic_curve, stochastic_run
+from reference import agent_utility, deterministic_curve, evaluate_loss, stochastic_run
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -342,23 +347,97 @@ def calibration_targets(draw):
     return n, CalibrationTarget(observations=tuple(zip(years, values)), loss=loss)
 
 
-@settings(max_examples=60, deadline=None)
-@given(calibration_targets(), reals(0.0, 40000.0))
+def recorded_levels(monkeypatch):
+    """Patch calibration's scorer to record each level as (alphas, betas, losses)."""
+    levels, scorer = [], calibration._scorer
+
+    def recording_scorer(*args):
+        score = scorer(*args)
+
+        def recording_score(alphas, betas):
+            losses = score(alphas, betas)
+            levels.append((alphas, betas, losses.copy()))
+            return losses
+        return recording_score
+
+    monkeypatch.setattr(calibration, "_scorer", recording_scorer)
+    return levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(calibration_targets(), reals(0.0, 40000.0), st.integers(GRID_SIZE, 2000),
+       st.integers(0, 22))
 # U < 0 every year at N = 1: e underflows for large alpha, p to 0, raised to _TINY
 @example((1, CalibrationTarget(observations=((2005, 0.0), (2013, 0.0)),
-                               loss="absolute_error")), 40000.0)
+                               loss="absolute_error")), 40000.0, 2000, 0)
 # U > 0 every year: p rounds to beta for large alpha and is cut to nextafter(beta, 0)
-@example((1, CalibrationTarget(observations=((2006, 1.0), (2010, 0.5), (2022, 1.0)))), 0.0)
-def test_grid_losses_equal_scalar_losses(drawn, cost):
+@example((1, CalibrationTarget(observations=((2006, 1.0), (2010, 0.5), (2022, 1.0)))), 0.0,
+         2000, 0)
+def test_level_losses_equal_run_simulation_losses(drawn, cost, budget, first):
+    # every 23rd cell of each level from `first`, as run_simulation's curve scores it
     n, target = drawn
     params, prices, subsidies, _ = load_default_scenario()
     params = replace(params, total_farmers=n, pv_cost_min=cost, pv_cost_max=cost)
-    grid = _Objective(params, prices, subsidies, target, budget=1).grid()
-    # a fresh objective: its e lists come from one-alpha _decay calls, not grid rows
-    scalar = _Objective(params, prices, subsidies, target, budget=1)
-    scalar_losses = [scalar.loss(a, b) for a in GRID_ALPHAS for b in GRID_BETAS]
-    assert [loss.hex() for loss, _, _ in grid] == [loss.hex() for loss in scalar_losses]
-    assert [(a, b) for _, a, b in grid] == [(a, b) for a in GRID_ALPHAS for b in GRID_BETAS]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        levels = recorded_levels(monkeypatch)
+        fit = calibrate(params, prices, subsidies, target, budget=budget)
+    assert sum(losses.size for _, _, losses in levels) == fit.evaluations
+    for alphas, betas, losses in levels:
+        assert losses.shape == betas.shape == (len(alphas), betas.shape[1])
+        for cell in range(first, losses.size, 23):
+            i, j = divmod(cell, losses.shape[1])
+            loss = evaluate_loss((float(alphas[i]), float(betas[i, j])), params, prices,
+                                 subsidies, target)
+            assert float(losses[i, j]).hex() == loss.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(calibration_targets(), reals(0.0, 40000.0), st.integers(GRID_SIZE, 3000))
+def test_evaluations_are_whole_levels_within_the_budget(drawn, cost, budget):
+    n, target = drawn
+    params, prices, subsidies, _ = load_default_scenario()
+    params = replace(params, total_farmers=n, pv_cost_min=cost, pv_cost_max=cost)
+    fit = calibrate(params, prices, subsidies, target, budget=budget)
+    assert fit.evaluations <= budget
+    # the grid, up to _BETA_LEVELS levels over its alphas, then 7x7 levels
+    width = len(_OFFSETS)
+    beta_levels, rest = divmod(fit.evaluations - GRID_SIZE, GRID_POINTS_PER_AXIS * width)
+    if beta_levels < _BETA_LEVELS:
+        assert rest == 0
+        following = GRID_POINTS_PER_AXIS * width
+    else:
+        rest += (beta_levels - _BETA_LEVELS) * GRID_POINTS_PER_AXIS * width
+        assert rest % (width * width) == 0
+        following = width * width
+    # the search stops converged or where the next level would pass the budget
+    assert fit.converged or fit.evaluations + following > budget
+
+
+@st.composite
+def flat_cases(draw):
+    """Yearly subsidies of +-1e12 or more, so x = alpha*|U|/N > 745 at every alpha of the
+    box and N <= 1e6: e underflows to 0 and p no longer depends on alpha."""
+    subsidies = draw(st.lists(st.one_of(reals(1e12, 1e15), reals(-1e15, -1e12)),
+                              min_size=1, max_size=18))
+    n = draw(st.integers(1, 10**6))
+    indices = draw(st.lists(st.integers(0, len(subsidies) - 1), min_size=1, max_size=3,
+                            unique=True))
+    values = draw(st.lists(st.floats(0.0, n), min_size=len(indices), max_size=len(indices)))
+    return subsidies, n, tuple(zip(indices, values)), draw(st.sampled_from(LOSS_KINDS))
+
+
+@settings(max_examples=30, deadline=None)
+@given(flat_cases())
+def test_flat_profile_returns_the_smallest_tied_alpha(case):
+    yearly_subsidies, n, observed, kind = case
+    params, prices, subsidies = bundled_with_subsidies(yearly_subsidies, total_farmers=n)
+    target = CalibrationTarget(
+        observations=tuple((params.start_year + i, v) for i, v in observed), loss=kind)
+    fit = calibrate(params, prices, subsidies, target)
+    for alpha in GRID_ALPHAS:  # the profile is flat: each alpha ties at the fitted beta
+        assert evaluate_loss((alpha, fit.beta), params, prices, subsidies,
+                             target) == fit.achieved_loss
+    assert fit.alpha == ALPHA_BOUNDS[0]
 
 
 @st.composite
@@ -417,5 +496,5 @@ def test_scalar_loss_equals_engine_curve_loss(case, alpha, beta):
         for index, value in observed:
             diff = cumulative[index] - value
             expected += diff * diff if kind == "squared_error" else abs(diff)
-        loss = _Objective(params, prices, subsidies, target, budget=1).loss(alpha, beta)
-        assert loss.hex() == expected.hex()
+        loss = _scorer(params, prices, subsidies, target)(np.array([alpha]), np.array([[beta]]))
+        assert float(loss[0, 0]).hex() == expected.hex()
