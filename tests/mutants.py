@@ -242,9 +242,8 @@ MUTANTS = [
     # the profile search
     Mutant("nan_losses_kept", "calibration.py",
            "losses[np.isnan(losses)] = math.inf", "pass",
-           "no loss is NaN: p is never NaN for finite U, alpha and beta, levels stay in "
-           "[0, N(1 + 2**-52)] and observations are finite, so each term is finite or +inf",
-           equivalent=True),
+           "test_sweep_moves_only_to_a_lower_finite_loss (stub levels: no real loss is "
+           "NaN, as p is never NaN for finite U, alpha and beta)"),
     Mutant("profile_takes_each_alphas_worst_beta", "calibration.py",
            "losses.argmin(axis=1)", "losses.argmax(axis=1)",
            "TestCalibrate::test_grid_only_budget_returns_best_grid_point"),
@@ -253,10 +252,8 @@ MUTANTS = [
            "TestCalibrate::test_grid_only_budget_returns_best_grid_point"),
     Mutant("best_is_the_last_levels_best", "calibration.py",
            "best = min(best, cell)", "best = cell",
-           "each level scores the previous level's best cell again (offset 0 on both axes, "
-           "its beta interpolated at a node), with the same bits "
-           "(test_level_losses_equal_run_simulation_losses), so a level's best never sorts "
-           "after the running best", equivalent=True),
+           "test_sweep_moves_only_to_a_lower_finite_loss (stub levels: a real level "
+           "re-scores the previous best cell with the same bits)"),
     Mutant("no_finite_cell_not_reported", "calibration.py",
            "if not math.isfinite(best[0]):", "if False:",
            "TestCalibrateCommand::test_no_finite_grid_loss_exits_2"),

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from dairypv.calibration import (
     CalibrationTarget,
     calibrate,
 )
+from dairypv import calibration
 from dairypv.domain import YearSeries
 from dairypv.engine import run_simulation
 from dairypv.errors import ValidationError
@@ -202,6 +204,42 @@ def test_former_stuck_basins_are_fitted(default_bundle, observations):
                     budget=2000)
     assert fit.converged
     assert fit.achieved_loss <= 1e-4 * sum(value * value for _, value in observations)
+
+
+def stub_scorer(levels, after):
+    """A _scorer stand-in: level k's losses are all levels[k][0] but cell [1, 2], which is
+    levels[k][1]; every later level is all `after`. Records (alphas, betas) per level."""
+    scored = []
+
+    def scorer(*args):
+        def score(alphas, betas):
+            fill, spot = levels[len(scored)] if len(scored) < len(levels) else (after, after)
+            scored.append((alphas, betas))
+            losses = np.full(betas.shape, fill)
+            losses[1, 2] = spot
+            return losses
+        return score
+
+    return scorer, scored
+
+
+@pytest.mark.parametrize("levels, after, moved_at", [
+    ([(1.0, 0.5), (math.nan, math.nan)], math.nan, 0),
+    ([(1.0, 0.5), (math.inf, math.inf)], math.inf, 0),
+    ([(math.inf, 3.0), (math.nan, 2.0)], math.inf, 1),  # an overflowed grid
+    ([(math.nan, 3.0), (math.inf, 2.0)], math.nan, 1),  # a NaN grid
+], ids=["nan_polls", "inf_polls", "from_inf", "from_nan"])
+def test_sweep_moves_only_to_a_lower_finite_loss(default_bundle, monkeypatch, levels, after,
+                                                 moved_at):
+    # the best cell changes only to a lower finite loss, whatever NaN or inf a level holds
+    scorer, scored = stub_scorer(levels, after)
+    monkeypatch.setattr(calibration, "_scorer", scorer)
+    fit = calibrate(*default_bundle, budget=2000)
+    assert (fit.evaluations, fit.converged) == (1548, True)
+    assert sum(betas.size for _, betas in scored) == fit.evaluations
+    alphas, betas = scored[moved_at]
+    assert (fit.achieved_loss, fit.alpha, fit.beta) == (levels[moved_at][1], alphas[1],
+                                                        betas[1, 2])
 
 
 def test_no_third_of_the_grid_step_equals_the_tolerance_so_lt_and_le_agree():

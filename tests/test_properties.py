@@ -16,6 +16,7 @@ from dairypv.calibration import (
     ALPHA_BOUNDS,
     BETA_BOUNDS,
     GRID_ALPHAS,
+    GRID_BETAS,
     GRID_POINTS_PER_AXIS,
     GRID_SIZE,
     LOSS_KINDS,
@@ -411,6 +412,30 @@ def test_evaluations_are_whole_levels_within_the_budget(drawn, cost, budget):
         following = width * width
     # the search stops converged or where the next level would pass the budget
     assert fit.converged or fit.evaluations + following > budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(calibration_targets(), reals(0.0, 40000.0))
+# U < 0 every year at N = 1: e underflows for large alpha, p to 0, raised to _TINY
+@example((1, CalibrationTarget(observations=((2005, 0.0), (2013, 0.0)),
+                               loss="absolute_error")), 40000.0)
+# U > 0 every year: p rounds to beta for large alpha and is cut to nextafter(beta, 0)
+@example((1, CalibrationTarget(observations=((2006, 1.0), (2010, 0.5), (2022, 1.0)))), 0.0)
+def test_grid_losses_equal_scalar_losses(drawn, cost):
+    # the grid level's (20, 20) losses equal each cell scored alone as a (1, 1) array
+    n, target = drawn
+    params, prices, subsidies, _ = load_default_scenario()
+    params = replace(params, total_farmers=n, pv_cost_min=cost, pv_cost_max=cost)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        levels = recorded_levels(monkeypatch)
+        calibrate(params, prices, subsidies, target, budget=GRID_SIZE)
+    [(alphas, betas, grid)] = levels
+    assert alphas.tolist() == GRID_ALPHAS
+    assert betas.tolist() == [GRID_BETAS] * GRID_POINTS_PER_AXIS
+    score = _scorer(params, prices, subsidies, target)
+    scalar = [score(np.array([a]), np.array([[b]]))[0, 0] for a in GRID_ALPHAS
+              for b in GRID_BETAS]
+    assert [float(loss).hex() for loss in grid.ravel()] == [float(s).hex() for s in scalar]
 
 
 @st.composite
