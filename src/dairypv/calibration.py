@@ -34,6 +34,7 @@ ALPHA_BOUNDS = (1e-3, 100.0)
 BETA_BOUNDS = (1e-5, 1.0)
 GRID_POINTS_PER_AXIS = 20
 GRID_SIZE = GRID_POINTS_PER_AXIS**2
+DEFAULT_BUDGET = 2000  # (alpha, beta) cells; calibrate's and the CLI's --budget default
 # A level is scored while either log10 half-width is at least this.
 REFINE_TOLERANCE = 1e-6
 # Levels over the 20 grid alphas before alpha is zoomed.
@@ -136,8 +137,8 @@ def _scorer(params, prices, subsidies, target):
     return score
 
 
-@np.errstate(over="ignore")  # alpha*U overflowing to +-inf gives the cap or the floor
-def calibrate(params, prices, subsidies, target, budget=2000):
+@np.errstate(over="ignore")  # overflows: alpha*U (cap or floor), a squared error (inf loss)
+def calibrate(params, prices, subsidies, target, budget=DEFAULT_BUDGET):
     """Fit (alpha, beta) so the deterministic simulation matches the target.
 
     Level 0 scores the 20x20 grid; later levels zoom the beta profile (module

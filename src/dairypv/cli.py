@@ -13,7 +13,7 @@ import sys
 import warnings
 from dataclasses import replace
 
-from .calibration import calibrate
+from .calibration import DEFAULT_BUDGET, calibrate
 from .domain import ADOPTION_SEMANTICS, MODES
 from .engine import run_monte_carlo, run_simulation
 from .errors import CalibrationFailedError, DairyPvError, ValidationError
@@ -63,8 +63,8 @@ def build_parser():
                   format="json")
     cal.add_argument("--target", help="target CSV (year,cumulative_adopters; "
                      "default: the scenario's target_series)")
-    cal.add_argument("--budget", type=int, default=2000,
-                     help="max (alpha, beta) points scored (default 2000)")
+    cal.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                     help="max (alpha, beta) points scored (default %(default)s)")
 
     mc = command("monte-carlo", _monte_carlo, "replicate the stochastic simulation; CSV",
                  format="csv")

@@ -56,26 +56,18 @@ def _utility(params, annuity, energy_price, pv_cost, subsidy):
             - (1.0 + params.maintenance_rate * annuity) * pv_cost + subsidy)
 
 
-def _decay(magnitudes, alpha, total_farmers):
-    """e = exp(((-alpha)*|U|)/N) from magnitudes |U|.
-
-    For alpha > 0 this has the bits of exp(-|alpha*U/N|), because IEEE multiply
-    and divide round the same way for either sign. exp can underflow, never overflow.
-    """
-    return np.exp(-alpha * magnitudes / total_farmers)
-
-
 def _probability_array(utilities, alpha, beta, total_farmers, steps=(True, True)):
     """Probability kernel beta/(1 + exp(-x)), x = alpha*U/N, strictly inside (0, beta).
 
-    With e from _decay, that is beta/(1 + e) where U >= 0, else e*beta/(1 + e): p =
-    max(e, U >= 0)*beta/(1 + e), as 0 <= e <= 1. U >= 0 and x >= 0 differ only where
-    x underflows to -0.0, and there e = 1, so p is the same. alpha and beta may be
-    arrays that broadcast to U's shape; later steps run in place on e and p, never on U.
+    e = exp(((-alpha)*|U|)/N) has the bits of exp(-|x|) for alpha > 0: IEEE multiply and
+    divide round alike for either sign. 0 <= e <= 1, so p = max(e, U >= 0)*beta/(1 + e) is
+    beta/(1 + e) where U >= 0, else e*beta/(1 + e). U >= 0 and x >= 0 differ only where x
+    underflows to -0.0, and there e = 1, so p is the same. alpha and beta may be arrays
+    that broadcast to U's shape; later steps run in place on e and p, never on U.
 
     steps = (signed, clipped) from _needed_steps; False drops a step that cannot change
     a bit of p for U inside the bounds it was decided on:
-    - signed False (every U >= 0): e = _decay(U) and p = beta/(1 + e). U and |U|
+    - signed False (every U >= 0): e from U, not |U|, and p = beta/(1 + e). U and |U|
       differ only at -0.0, where both give e = 1, and max(e, 1)*beta is beta.
     - clipped False: before the clip p <= beta, as e <= 1 and 1 + e >= 1. p = beta
       needs 1 + e to round to 1, so e <= 2**-53; x <= 36 keeps e >= 2.3e-16, and then
@@ -84,20 +76,19 @@ def _probability_array(utilities, alpha, beta, total_farmers, steps=(True, True)
       above 2e-317, and halving it by 1 + e <= 2 leaves it above 0.
     """
     signed, clipped = steps
+    e = np.exp(-alpha * (np.abs(utilities) if signed else utilities) / total_farmers)
     if signed:
-        e = _decay(np.abs(utilities), alpha, total_farmers)
         p = np.maximum(e, utilities >= 0)  # U > 0 gives the same p: e = 1 at U = +-0
         p *= beta
         p /= np.add(e, 1.0, out=e)
     else:
-        e = _decay(utilities, alpha, total_farmers)
         p = np.divide(beta, np.add(e, 1.0, out=e), out=e)
     return p.clip(_TINY, np.nextafter(beta, 0.0), out=p) if clipped else p
 
 
 def _needed_steps(lowest, highest, alpha, beta, total_farmers):
     """The kernel steps (signed, clipped) that any U in [lowest, highest] can need; x is
-    computed in _decay's order, so by monotone rounding the largest |U| bounds it."""
+    computed as the kernel's alpha*|U|/N, so by monotone rounding the largest |U| bounds it."""
     bounded = alpha * max(abs(lowest), abs(highest)) / total_farmers <= 36.0
     return lowest < 0.0, not (bounded and beta >= 2.0**-1000)
 
@@ -209,7 +200,7 @@ def _stochastic_run(params, annuity, energy_prices, yearly_subsidies, midpoint, 
         remaining = stayed
 
 
-@np.errstate(over="ignore")  # alpha*U overflowing to +-inf gives the cap or the floor
+@np.errstate(over="ignore")  # overflows: alpha*U (cap or floor), a stochastic mean's sum (error)
 def run_simulation(params, prices, subsidies):
     """Run the full multi-year simulation; one YearRecord per year.
 
@@ -279,7 +270,7 @@ class MonteCarloSummary:
         object.__setattr__(self, "rows", tuple(self.rows))
 
 
-@np.errstate(over="ignore")  # as in run_simulation
+@np.errstate(over="ignore")  # the one overflow: alpha*U, giving the cap or the floor
 def run_monte_carlo(params, prices, subsidies, replications, base_seed):
     """Replicate the stochastic simulation and aggregate per-year statistics.
 

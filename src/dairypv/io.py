@@ -10,6 +10,7 @@ the target with the mode the OS gives a new file, is renamed over it.
 """
 
 import csv
+import errno
 import io
 import json
 import math
@@ -356,22 +357,28 @@ def render_result(result, format="csv"):
 
 
 def write_result(result, format, output_path):
-    """Render a result and write it atomically (temp file, then rename)."""
+    """Render a result and write it atomically (temp file, then rename). Only a regular
+    file is replaced: a directory, FIFO or device fails before anything is created."""
     text = render_result(result, format)
     output_path = Path(output_path)
     target = Path(os.path.realpath(output_path))  # through a symlink, as open() writes
     temp = target.with_name(f"{target.name}.{os.urandom(8).hex()}")
     try:
+        try:  # through a symlink: /dev/stdout's pipe has no path for realpath to name
+            mode = os.stat(output_path).st_mode
+        except FileNotFoundError:
+            mode = None
+        else:
+            if stat.S_ISDIR(mode):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), output_path)
+            if not stat.S_ISREG(mode):
+                raise OSError(f"not a regular file: {str(output_path)!r}")
         handle = open(temp, "x", encoding="utf-8", newline="\n")  # O_EXCL at 0o666, as "w" creates
         try:
             with handle:
                 handle.write(text)
-            try:  # a replaced file keeps its mode, as open(output_path, "w") leaves it
-                mode = stat.S_IMODE(os.stat(target).st_mode)
-            except FileNotFoundError:
-                pass
-            else:
-                os.chmod(temp, mode)
+            if mode is not None:  # a replaced file keeps its mode, as open(path, "w") leaves it
+                os.chmod(temp, stat.S_IMODE(mode))
             os.replace(temp, target)
         except BaseException:
             os.unlink(temp)

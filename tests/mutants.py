@@ -313,7 +313,7 @@ MUTANTS = [
            'open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "w",',
            "TestWriteResult::test_mode_is_what_open_for_writing_leaves, "
            "TestWriteResult::test_mode_needs_no_umask_call"),
-    Mutant("existing_mode_not_copied", "io.py", "os.chmod(temp, mode)", "pass",
+    Mutant("existing_mode_not_copied", "io.py", "os.chmod(temp, stat.S_IMODE(mode))", "pass",
            "TestWriteResult::test_mode_needs_no_umask_call, "
            "TestWriteResult::test_a_symlink_is_written_through"),
     Mutant("failed_create_unlinks_the_temp", "io.py",
@@ -322,6 +322,12 @@ MUTANTS = [
            "        temp.unlink(missing_ok=True)\n",
            "another writer's file at the temp name is deleted: TestWriteResult::"
            "test_a_taken_temp_name_fails_naming_the_output_and_removes_nothing"),
+    Mutant("out_directory_not_named_as_one", "io.py",
+           "if stat.S_ISDIR(mode):", "if False:",
+           "TestRunCommand::test_out_naming_a_directory_names_out_path"),
+    Mutant("out_fifo_replaced", "io.py",
+           "if not stat.S_ISREG(mode):", "if False:",
+           "test_out_naming_no_regular_file_exits_1_and_replaces_nothing[fifo]"),
     Mutant("out_symlink_replaced", "io.py",
            "target = Path(os.path.realpath(output_path))", "target = output_path",
            "TestWriteResult::test_a_symlink_is_written_through"),

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -126,6 +127,21 @@ def run_cli(*argv):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "dairypv.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("fifo", [True, False], ids=["fifo", "dev-stdout-pipe"])
+def test_out_naming_no_regular_file_exits_1_and_replaces_nothing(default_config, tmp_path,
+                                                                 fifo):
+    # a FIFO (or /dev/stdout, here a pipe) is neither replaced nor opened: the run's
+    # timeout stops a writer blocked on the FIFO with no reader
+    out = tmp_path / "fifo" if fifo else Path("/dev/stdout")
+    if fifo:
+        os.mkfifo(out)
+    done = run_cli("run", "--config", default_config, "--out", str(out))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", f"error: not a regular file: '{out}'\n")
+    assert [p.name for p in tmp_path.iterdir()] == (["fifo"] if fifo else [])
+    assert not fifo or stat.S_ISFIFO(out.stat().st_mode)
 
 
 def test_help_exits_0_and_a_usage_error_exits_1():

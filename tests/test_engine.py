@@ -178,13 +178,13 @@ class TestRunSimulation:
                                                        subsidy_series, monkeypatch):
         # the hazard levels come from the probability column, not from a second exp pass
         calls = []
-        decay = engine._decay
+        kernel = engine._probability_array
 
-        def counting_decay(*args, **kwargs):
+        def counting_kernel(*args, **kwargs):
             calls.append(args[1])
-            return decay(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "_decay", counting_decay)
+        monkeypatch.setattr(engine, "_probability_array", counting_kernel)
         assert default_params.adoption_semantics == "hazard"
         run_simulation(default_params, price_series, subsidy_series)
         assert calls == [default_params.alpha]

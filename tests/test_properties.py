@@ -30,7 +30,6 @@ from dairypv.io import load_default_scenario
 from dairypv.engine import (
     _TINY,
     _annuity,
-    _decay,
     _needed_steps,
     _probability_array,
     _stochastic_years,
@@ -85,10 +84,14 @@ def test_kernel_matches_two_branch_formula_inside_open_interval(utilities, alpha
 
 @SETTINGS
 @given(utility_arrays, st.one_of(alphas, reals(*ALPHA_BOUNDS)), farmer_counts)
-def test_decay_equals_the_signed_formula(utilities, alpha, n):
+def test_kernel_exponential_equals_the_signed_formula(utilities, alpha, n):
+    # the kernel's e = exp(((-alpha)*|U|)/N), then p = max(e, U >= 0)*beta/(1 + e) unclipped
     with np.errstate(over="ignore"):
         e = np.exp(-np.abs(alpha * utilities / n))
-        assert _decay(np.abs(utilities), alpha, n).tobytes() == e.tobytes()
+        assert np.exp(-alpha * np.abs(utilities) / n).tobytes() == e.tobytes()
+        p = np.maximum(e, utilities >= 0) / (1.0 + e)
+        kernel = _probability_array(utilities, alpha, 1.0, n, (True, False))
+    assert kernel.tobytes() == p.tobytes()
 
 
 @SETTINGS
@@ -168,13 +171,12 @@ def test_kernels_write_into_no_argument(utilities, data):
     alpha, beta = data.draw(scalar_or_array(alphas)), data.draw(scalar_or_array(betas))
     prices, subsidies = (data.draw(hnp.arrays(np.float64, len(utilities),
                                               elements=reals(-1e6, 1e6))) for _ in range(2))
-    magnitudes, n = np.abs(utilities), data.draw(farmer_counts)
+    n = data.draw(farmer_counts)
     params = load_default_scenario()[0]
-    arguments = (utilities, magnitudes, alpha, beta, prices, subsidies)
+    arguments = (utilities, alpha, beta, prices, subsidies)
     before = [np.asarray(a).tobytes() for a in arguments]
     with np.errstate(all="ignore"):
         _utility(params, 12.5, prices, utilities, subsidies)
-        _decay(magnitudes, alpha, n)
         _probability_array(utilities, alpha, beta, n)
     assert [np.asarray(a).tobytes() for a in arguments] == before
 
