@@ -66,7 +66,7 @@ class CalibrationTarget:
     """Observed (year, cumulative adopters) pairs and the loss to minimize."""
 
     observations: tuple
-    loss: str = "squared_error"
+    loss: str = LOSS_KINDS[0]
 
     def __post_init__(self):
         observations = tuple((require_integer(f"observation[{i}] year", y),

@@ -118,11 +118,6 @@ def parse_year_series(stream, value_column):
     return YearSeries(first_year=pairs[0][0], values=tuple(v for _, v in pairs))
 
 
-def parse_target_observations(stream):
-    """Parse a target CSV; years must increase but need not be contiguous."""
-    return _parse_rows(stream, TARGET_COLUMN, require_contiguous=False)
-
-
 # Scenario keys that are not ScenarioParams fields: key -> required. Their
 # values are strings; ScenarioParams types and checks every other key.
 _NON_PARAM_KEYS = {
@@ -225,14 +220,11 @@ def _parse_covering_series(stream, value_column, name, params):
     return series
 
 
-def read_target(path, params, loss="squared_error", named=None):
-    """Read a target CSV and check it against params; errors name `named` or the CSV."""
-    observations = tuple(_read(path, parse_target_observations))
-    try:
-        target = CalibrationTarget(observations=observations, loss=loss)
-        target.validate_against(params)
-    except ValidationError as exc:
-        raise ValidationError(f"{named or path}: {exc}") from None
+def _parse_target(stream, params, loss):
+    """A target CSV's observations (years increasing, gaps allowed), checked against params."""
+    rows = _parse_rows(stream, TARGET_COLUMN, require_contiguous=False)
+    target = CalibrationTarget(observations=tuple(rows), loss=loss)
+    target.validate_against(params)
     return target
 
 
@@ -266,11 +258,11 @@ def load_scenario(config_path, target_path=None):
             stacklevel=2,
         )
 
-    target, loss = None, data.get("target_loss", "squared_error")
+    target, loss = None, data.get("target_loss", LOSS_KINDS[0])
     if "target_series" in data:
-        target = read_target(base / data["target_series"], params, loss, config_path)
+        target = _read(base / data["target_series"], _parse_target, params, loss)
     if target_path is not None:
-        target = read_target(target_path, params, loss)
+        target = _read(target_path, _parse_target, params, loss)
 
     return LoadedScenario(params=params, prices=prices, subsidies=subsidies, target=target)
 

@@ -337,6 +337,28 @@ MUTANTS = [
            "line = reader.line_num", "line = reader.line_num - 1",
            "TestParseYearSeries::test_empty_lines_are_skipped_but_counted"),
 
+    # the input reader and the target route
+    Mutant("target_not_checked_against_the_scenario", "io.py",
+           "    target.validate_against(params)\n", "",
+           "test_target_series_outside_scenario_names_target_file, "
+           "test_target_outside_scenario_names_target_file"),
+    Mutant("target_loss_dropped", "io.py",
+           "CalibrationTarget(observations=tuple(rows), loss=loss)",
+           "CalibrationTarget(observations=tuple(rows))",
+           "test_target_path_replaces_target_series_which_is_still_validated, "
+           "test_scenario_target_loss_reaches_calibrate[target_series]"),
+    Mutant("target_series_skipped_when_a_target_is_given", "io.py",
+           'if "target_series" in data:',
+           'if "target_series" in data and target_path is None:',
+           "test_target_path_replaces_target_series_which_is_still_validated"),
+    Mutant("input_error_names_no_path", "io.py",
+           '        exc.args = (f"{path}: {exc}",)\n', "",
+           "test_target_outside_scenario_names_target_file, "
+           "test_malformed_target_exits_1_naming_file"),
+    Mutant("byte_order_mark_kept", "io.py",
+           '.removeprefix("\\ufeff")', "",
+           "test_target_with_byte_order_mark_loads, test_series_with_byte_order_mark_loads"),
+
     # the CLI
     Mutant("run_ignores_mode", "cli.py",
            '("mode", "seed", "adoption_semantics")', '("seed", "adoption_semantics")',

@@ -13,8 +13,8 @@ import yaml
 import dairypv
 from dairypv.calibration import calibrate
 from dairypv.cli import cli_main
-from dairypv.engine import run_monte_carlo
-from dairypv.io import default_scenario_path, load_default_scenario, render_result
+from dairypv.engine import run_monte_carlo, run_simulation
+from dairypv.io import default_scenario_path, load_default_scenario, load_scenario, render_result
 
 from conftest import write_scenario
 
@@ -320,6 +320,29 @@ class TestCalibrateCommand:
         final = float(out.read_text().splitlines()[-1].split(",")[-1])
         assert abs(final - 441.0) <= 1.0
 
+    def test_calibrate_to_the_observed_target_renders_360(self, default_config, capsys):
+        # the fit is repeated in-process: the printed fit's 6 digits move the level to 359.999
+        observed = default_scenario_path().parent / "target_2022_observed.csv"
+        assert cli_main(["calibrate", "--config", default_config, "--target", str(observed)]) == 0
+        params, prices, subsidies, target = load_scenario(default_config, observed)
+        fit = calibrate(params, prices, subsidies, target)
+        assert capsys.readouterr().out == render_result(fit, "json")
+        assert fit.achieved_loss <= 1e-4 * sum(value * value for _, value in target.observations)
+        run = run_simulation(replace(params, alpha=fit.alpha, beta=fit.beta), prices, subsidies)
+        last = render_result(run).splitlines()[-1].split(",")
+        assert (last[0], last[-1]) == ("2022", "360.00")
+
+    def test_the_modelled_fit_sits_045_points_above_the_observed_target(self, default_config):
+        observed = default_scenario_path().parent / "target_2022_observed.csv"
+        (_, actual), = load_scenario(default_config, observed).target.observations
+        params, prices, subsidies, target = load_default_scenario()
+        (_, modelled), = target.observations
+        fit = calibrate(params, prices, subsidies, target)
+        run = run_simulation(replace(params, alpha=fit.alpha, beta=fit.beta), prices, subsidies)
+        gap = run.records[-1].cumulative_adopters - actual
+        assert abs(gap - (modelled - actual)) <= 1e-4
+        assert round(100 * gap / params.total_farmers, 4) == 0.45
+
     def test_target_defaults_to_the_scenarios_target_series(self, default_config, capsys):
         assert cli_main(["calibrate", "--config", default_config]) == 0
         golden = Path(__file__).parent / "golden" / "calibrate_target_2022.json"
@@ -376,14 +399,14 @@ class TestCalibrateCommand:
         assert capsys.readouterr().err == (
             f"error: {target}: target year 2030 outside scenario range 2005-2022\n")
 
-    def test_target_series_outside_scenario_names_config(self, tmp_path, capsys):
+    def test_target_series_outside_scenario_names_target_file(self, tmp_path, capsys):
         target = tmp_path / "late_target.csv"
         target.write_text("year,cumulative_adopters\n2022,20000\n")
         config = bundled_config_copy(tmp_path, target_series=str(target))
         code = cli_main(["run", "--config", str(config)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {config}: target value 20000.0 for year 2022 outside [0, 18000]\n")
+            f"error: {target}: target value 20000.0 for year 2022 outside [0, 18000]\n")
 
     def test_no_finite_grid_loss_exits_2(self, tmp_path):
         # every loss overflows: (p*N - 1e299)**2 exceeds the float range

@@ -23,11 +23,13 @@ from dairypv.errors import (
     YearGapError,
 )
 from dairypv.io import (
+    TARGET_COLUMN,
+    _parse_rows,
+    _parse_target,
+    _read,
     default_scenario_path,
     load_scenario,
-    parse_target_observations,
     parse_year_series,
-    read_target,
     render_result,
     write_result,
 )
@@ -104,24 +106,22 @@ class TestParseYearSeries:
             parse("year,price_eur_per_kwh\n")
 
 
+def parse_target(text):
+    return _parse_rows(io.StringIO(text), TARGET_COLUMN, require_contiguous=False)
+
+
 class TestParseTarget:
     def test_sparse_years_allowed(self):
-        obs = parse_target_observations(
-            io.StringIO("year,cumulative_adopters\n2010,100\n2022,441\n")
-        )
+        obs = parse_target("year,cumulative_adopters\n2010,100\n2022,441\n")
         assert obs == [(2010, 100.0), (2022, 441.0)]
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateYearError):
-            parse_target_observations(
-                io.StringIO("year,cumulative_adopters\n2022,441\n2022,360\n")
-            )
+            parse_target("year,cumulative_adopters\n2022,441\n2022,360\n")
 
     def test_decreasing_rejected(self):
         with pytest.raises(YearGapError, match="must increase, got 2010 after 2022") as excinfo:
-            parse_target_observations(
-                io.StringIO("year,cumulative_adopters\n2022,441\n2010,100\n")
-            )
+            parse_target("year,cumulative_adopters\n2022,441\n2010,100\n")
         assert excinfo.value.line == 3
         assert excinfo.value.missing_years == ()
 
@@ -250,7 +250,8 @@ class TestLoadScenario:
     def test_target_with_byte_order_mark_loads(self, tmp_path, default_params):
         target = tmp_path / "target.csv"
         target.write_bytes(b"\xef\xbb\xbfyear,cumulative_adopters\r\n2022,441\r\n")
-        assert read_target(target, default_params).observations == ((2022, 441.0),)
+        loaded = _read(target, _parse_target, default_params, "squared_error")
+        assert loaded.observations == ((2022, 441.0),)
 
     def test_decode_error_after_byte_order_mark_counts_it(self, tmp_path):
         path = write_scenario(tmp_path)
@@ -302,7 +303,8 @@ class TestLoadScenario:
         loaded = load_scenario(path, tmp_path / "given.csv")
         assert loaded.target == CalibrationTarget(((2006, 20.0),), loss="absolute_error")
         (tmp_path / "target.csv").write_text("year,cumulative_adopters\n2030,50\n")
-        with pytest.raises(ValidationError, match=f"^{path}: target year 2030 outside"):
+        with pytest.raises(ValidationError,
+                           match=f"^{tmp_path / 'target.csv'}: target year 2030 outside"):
             load_scenario(path, tmp_path / "given.csv")
 
     def test_bad_target_loss_names_config(self, tmp_path):

@@ -1,6 +1,8 @@
-"""The names `import dairypv` exports: the surface README's "Package layout" documents."""
+"""The names `import dairypv` exports, the surface README's "Package layout" documents, and the
+data files a normal install ships."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +59,18 @@ def test_every_error_is_a_package_error_and_input_errors_are_value_errors(cls):
     assert issubclass(cls, dairypv.errors.DairyPvError)
     assert issubclass(cls, ValueError) == (cls.__name__ in INPUT_ERRORS)
     assert issubclass(cls, RuntimeError) == (cls is dairypv.errors.CalibrationFailedError)
+
+
+def test_every_data_file_matches_a_package_data_glob():
+    # CI installs in editable mode, which reads the source tree; a normal install ships
+    # only the data files that pyproject.toml's package-data globs name
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as handle:
+        globs = tomllib.load(handle)["tool"]["setuptools"]["package-data"]["dairypv"]
+    package = root / "src" / "dairypv"
+    shipped = {path for pattern in globs for path in package.glob(pattern)}
+    data = {path for path in (package / "data").rglob("*")
+            if path.is_file() and path.suffix not in (".py", ".pyc")}
+    assert data, "no data files found"
+    assert sorted(str(path.relative_to(package)) for path in data - shipped) == []
