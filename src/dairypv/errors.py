@@ -7,7 +7,14 @@ apart without string matching. The CLI exits 2 on CalibrationFailedError and
 
 
 class DairyPvError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error at line N of an input file starts its message `line N: ` and keeps N as `.line`.
+    """
+
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
 
 
 class ValidationError(DairyPvError, ValueError):
@@ -22,26 +29,20 @@ class DuplicateYearError(DairyPvError, ValueError):
     """The same calendar year appears on more than one row."""
 
     def __init__(self, message, year=None, line=None):
-        super().__init__(message)
+        super().__init__(message, line)
         self.year = year
-        self.line = line
 
 
 class YearGapError(DairyPvError, ValueError):
     """Years are not contiguous and increasing; carries the missing years."""
 
     def __init__(self, message, missing_years=(), line=None):
-        super().__init__(message)
+        super().__init__(message, line)
         self.missing_years = tuple(missing_years)
-        self.line = line
 
 
 class BadValueError(DairyPvError, ValueError):
-    """A cell could not be parsed as the expected number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    """A row or cell is not the expected numbers, or the text is not UTF-8."""
 
 
 class CoverageGapError(DairyPvError, ValueError):

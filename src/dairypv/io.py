@@ -66,45 +66,36 @@ def _parse_rows(stream, value_column, require_contiguous):
             if not row:
                 continue
             if len(row) != 2:
-                raise BadValueError(f"line {line}: expected 2 columns, got {len(row)}", line=line)
+                raise BadValueError(f"expected 2 columns, got {len(row)}", line)
             year_text, value_text = row[0].strip(), row[1].strip()
             try:
                 year = int(year_text)
             except ValueError:
-                raise BadValueError(
-                    f"line {line}: year {year_text!r} is not an integer", line=line
-                ) from None
+                raise BadValueError(f"year {year_text!r} is not an integer", line) from None
             try:
                 value = float(value_text)
             except ValueError:
                 raise BadValueError(
-                    f"line {line}: {value_column} {value_text!r} is not a number", line=line
-                ) from None
+                    f"{value_column} {value_text!r} is not a number", line) from None
             if not math.isfinite(value):
-                raise BadValueError(
-                    f"line {line}: {value_column} {value_text!r} is not finite", line=line)
+                raise BadValueError(f"{value_column} {value_text!r} is not finite", line)
             if prev_year is not None:
                 if year == prev_year:
-                    raise DuplicateYearError(
-                        f"line {line}: duplicate year {year}", year=year, line=line)
+                    raise DuplicateYearError(f"duplicate year {year}", year=year, line=line)
                 if year < prev_year:
-                    raise YearGapError(
-                        f"line {line}: years must increase, got {year} after {prev_year}",
-                        line=line)
+                    raise YearGapError(f"years must increase, got {year} after {prev_year}",
+                                       line=line)
                 if require_contiguous and year > prev_year + 1:
                     missing = list(range(prev_year + 1, year))
-                    raise YearGapError(
-                        f"line {line}: year gap, missing " + ", ".join(str(y) for y in missing),
-                        missing_years=missing,
-                        line=line,
-                    )
+                    raise YearGapError("year gap, missing " + ", ".join(map(str, missing)),
+                                       missing_years=missing, line=line)
             pairs.append((year, value))
             prev_year = year
     except csv.Error as exc:  # a field past csv's size limit, say
-        raise BadValueError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
+        raise BadValueError(str(exc), reader.line_num) from None
 
     if not pairs:
-        raise BadValueError("no data rows after the header", line=2)
+        raise BadValueError("no data rows after the header")
     return pairs
 
 
@@ -163,13 +154,13 @@ class LoadedScenario(NamedTuple):
     target: CalibrationTarget | None
 
 
-def _read(path, parse, *args, error=BadValueError):
+def _read(path, parse, *args):
     """Read the file at path once and return parse(stream, *args) over its text.
 
-    The bytes are decoded once and a leading byte-order mark is dropped.
-    Every error names the path: a package error keeps its type and
-    attributes, while text that is not UTF-8 (with the byte offset in the
-    file and the line) or YAML that does not parse raises `error`.
+    The bytes are decoded once and a leading byte-order mark is dropped. Every error
+    names the path: a package error keeps its type and attributes, text that is not
+    UTF-8 raises BadValueError (with the file's byte offset and the line), and YAML
+    that does not parse raises ValidationError.
     """
     data = Path(path).read_bytes()
     try:
@@ -178,9 +169,9 @@ def _read(path, parse, *args, error=BadValueError):
         return parse(stream, *args)
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: {exc} (line {line})") from None
+        raise BadValueError(f"{path}: {exc} (line {line})") from None
     except yaml.YAMLError as exc:
-        raise error(f"{path}: {exc}") from None
+        raise ValidationError(f"{path}: {exc}") from None
     except DairyPvError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -238,7 +229,7 @@ def load_scenario(config_path, target_path=None):
     validated; target_loss applies to whichever target is returned.
     """
     config_path = Path(config_path)
-    data, params = _read(config_path, _parse_scenario, error=ValidationError)
+    data, params = _read(config_path, _parse_scenario)
     base = config_path.parent
     subsidy_path = base / data["subsidy_series"]
     prices = _read(base / data["price_series"], _parse_covering_series, PRICE_COLUMN,

@@ -332,10 +332,34 @@ MUTANTS = [
            "target = Path(os.path.realpath(output_path))", "target = output_path",
            "TestWriteResult::test_a_symlink_is_written_through"),
 
-    # the CSV reader's line numbers
+    # the CSV reader's rows and line numbers
     Mutant("line_number_one_early", "io.py",
            "line = reader.line_num", "line = reader.line_num - 1",
            "TestParseYearSeries::test_empty_lines_are_skipped_but_counted"),
+    Mutant("one_column_row_not_counted", "io.py",
+           "if len(row) != 2:", "if len(row) > 2:",
+           "TestParseYearSeries::test_wrong_column_count[one]"),
+    Mutant("infinite_value_accepted", "io.py",
+           "if not math.isfinite(value):", "if math.isnan(value):",
+           "TestParseYearSeries::test_non_finite_value_rejected[inf]"),
+    Mutant("header_cells_not_stripped", "io.py",
+           "        header = [cell.strip() for cell in header]\n", "",
+           "TestParseYearSeries::test_two_row_series"),
+    Mutant("column_count_error_has_no_line", "io.py",
+           'got {len(row)}", line)', 'got {len(row)}")',
+           "TestParseYearSeries::test_wrong_column_count"),
+    Mutant("column_count_error_line_one_late", "io.py",
+           'got {len(row)}", line)', 'got {len(row)}", line + 1)',
+           "TestParseYearSeries::test_wrong_column_count"),
+    Mutant("csv_error_has_no_line", "io.py",
+           "BadValueError(str(exc), reader.line_num)", "BadValueError(str(exc))",
+           "TestParseYearSeries::test_field_past_the_csv_limit_names_line, "
+           "test_malformed_target_exits_1_naming_file[field_past_the_csv_limit]"),
+    Mutant("csv_error_line_one_late", "io.py",
+           "BadValueError(str(exc), reader.line_num)",
+           "BadValueError(str(exc), reader.line_num + 1)",
+           "TestParseYearSeries::test_field_past_the_csv_limit_names_line, "
+           "test_malformed_target_exits_1_naming_file[field_past_the_csv_limit]"),
 
     # the input reader and the target route
     Mutant("target_not_checked_against_the_scenario", "io.py",
@@ -384,6 +408,13 @@ MUTANTS = [
            "class ValidationError(DairyPvError, ValueError):",
            "class ValidationError(DairyPvError):",
            "test_every_error_is_a_package_error_and_input_errors_are_value_errors"),
+    Mutant("error_line_not_in_the_message", "errors.py",
+           'message if line is None else f"line {line}: {message}"', "message",
+           "TestParseYearSeries::test_empty_lines_are_skipped_but_counted, "
+           "test_malformed_target_exits_1_naming_file"),
+    Mutant("error_line_not_stored", "errors.py",
+           "self.line = line", "self.line = None",
+           "TestParseYearSeries::test_bad_year_names_line"),
 ]
 
 

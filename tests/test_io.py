@@ -45,6 +45,7 @@ class TestParseYearSeries:
     def test_two_row_series(self):
         series = parse("year,price_eur_per_kwh\n2005,0.14\n2006,0.15\n")
         assert dict(series.items()) == {2005: 0.14, 2006: 0.15}
+        assert parse(" year , price_eur_per_kwh \n2005,0.14\n2006,0.15\n") == series
 
     def test_year_gap_names_missing_year(self):
         with pytest.raises(YearGapError) as excinfo:
@@ -82,13 +83,26 @@ class TestParseYearSeries:
             parse("year,price_eur_per_kwh\n2005,abc\n")
         assert excinfo.value.line == 2
 
-    def test_non_finite_value_rejected(self):
-        with pytest.raises(BadValueError, match="finite"):
-            parse("year,price_eur_per_kwh\n2005,nan\n")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(BadValueError, match="finite") as excinfo:
+            parse(f"year,price_eur_per_kwh\n2005,{value}\n")
+        assert str(excinfo.value) == f"line 2: price_eur_per_kwh {value!r} is not finite"
+        assert excinfo.value.line == 2
 
-    def test_wrong_column_count(self):
-        with pytest.raises(BadValueError, match="columns"):
-            parse("year,price_eur_per_kwh\n2005,0.14,extra\n")
+    @pytest.mark.parametrize("row, count", [("2005,0.14,extra", 3), ("2005", 1)],
+                             ids=["three", "one"])
+    def test_wrong_column_count(self, row, count):
+        with pytest.raises(BadValueError, match="columns") as excinfo:
+            parse(f"year,price_eur_per_kwh\n{row}\n")
+        assert str(excinfo.value) == f"line 2: expected 2 columns, got {count}"
+        assert excinfo.value.line == 2
+
+    def test_field_past_the_csv_limit_names_line(self):
+        with pytest.raises(BadValueError) as excinfo:
+            parse("year,price_eur_per_kwh\n\n2005,0.14\n2006," + "1" * 131_073 + "\n")
+        assert str(excinfo.value) == "line 4: field larger than field limit (131072)"
+        assert excinfo.value.line == 4
 
     def test_empty_lines_are_skipped_but_counted(self):
         series = parse("year,price_eur_per_kwh\n2005,0.14\n\n2006,0.15\n\n\n")
@@ -102,8 +116,9 @@ class TestParseYearSeries:
         assert excinfo.value.line == 4
 
     def test_header_only(self):
-        with pytest.raises(BadValueError, match="no data rows"):
+        with pytest.raises(BadValueError, match="no data rows") as excinfo:
             parse("year,price_eur_per_kwh\n")
+        assert excinfo.value.line is None
 
 
 def parse_target(text):
