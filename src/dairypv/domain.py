@@ -21,7 +21,9 @@ _UINT64_MAX = 2**64 - 1
 
 
 def require_finite(name, value):
-    """Return value as float, rejecting NaN, infinities and ints beyond float range."""
+    """Return value as float; it must be a real number (not a bool) and finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
     except OverflowError:  # never formatted: repr of a long enough int raises
@@ -111,8 +113,6 @@ class ScenarioParams:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValidationError(f"{f.name} must be a real number, got {value!r}")
                 object.__setattr__(self, f.name, require_finite(f.name, value))
             elif f.type is int or (f.type == int | None and value is not None):
                 object.__setattr__(self, f.name, require_integer(f.name, value))

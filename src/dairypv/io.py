@@ -128,8 +128,7 @@ class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         for key_node, _ in node.value:
             key = self.construct_object(key_node)
             if key in seen:
-                line = key_node.start_mark.line + 1
-                raise ValidationError(f"duplicate key {key!r} on line {line}")
+                raise ValidationError(f"duplicate key {key!r}", key_node.start_mark.line + 1)
             seen.add(key)
         return mapping
 
@@ -138,8 +137,8 @@ class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         try:
             return super().construct_yaml_int(node)
         except ValueError as exc:
-            line = node.start_mark.line + 1
-            raise ValidationError(f"integer on line {line} cannot be read: {exc}") from None
+            raise ValidationError(f"integer cannot be read: {exc}",
+                                  node.start_mark.line + 1) from None
 
 
 _UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int", _UniqueKeyLoader.construct_yaml_int)
@@ -154,24 +153,19 @@ class LoadedScenario(NamedTuple):
     target: CalibrationTarget | None
 
 
-def _read(path, parse, *args):
-    """Read the file at path once and return parse(stream, *args) over its text.
+def _decode(data):
+    """data's UTF-8 text; a byte that is not UTF-8 raises BadValueError at its line."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")  # a leading byte-order mark goes
+    except UnicodeDecodeError as exc:
+        raise BadValueError(str(exc), data.count(b"\n", 0, exc.start) + 1) from None
 
-    The bytes are decoded once and a leading byte-order mark is dropped. Every error
-    names the path: a package error keeps its type and attributes, text that is not
-    UTF-8 raises BadValueError (with the file's byte offset and the line), and YAML
-    that does not parse raises ValidationError.
-    """
+
+def _read(path, parse, *args):
+    """Return parse(stream, *args) over path's _decode-d text; package errors gain the path."""
     data = Path(path).read_bytes()
     try:
-        stream = io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline="")
-        stream.name = str(path)  # YAML error marks name the file
-        return parse(stream, *args)
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise BadValueError(f"{path}: {exc} (line {line})") from None
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        return parse(io.StringIO(_decode(data), newline=""), *args)
     except DairyPvError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -181,9 +175,19 @@ def _parse_scenario(stream):
     """Return (mapping, ScenarioParams) from scenario YAML.
 
     A key is required when its ScenarioParams field has no default; no key
-    may be null, and target_loss must be one of LOSS_KINDS.
+    may be null, and target_loss must be one of LOSS_KINDS. YAML that does not
+    parse raises ValidationError at its line, in YAML's words without its marks;
+    the first character a reader refuses is the first occurrence of that character.
     """
-    data = yaml.load(stream, Loader=_UniqueKeyLoader)
+    try:
+        data = yaml.load(stream, Loader=_UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        message, line = str(exc).partition("\n")[0], None  # the text before its first mark
+        if isinstance(exc, yaml.reader.ReaderError):  # libyaml's .position counts bytes
+            line = stream.getvalue().partition(chr(exc.character))[0].count("\n") + 1
+        elif getattr(exc, "problem_mark", None):
+            message, line = exc.problem, exc.problem_mark.line + 1
+        raise ValidationError(message, line) from None
     if not isinstance(data, dict):
         raise ValidationError("scenario file must be a flat key/value mapping")
     params = {f.name: f.default is MISSING for f in fields(ScenarioParams)}
@@ -241,13 +245,9 @@ def load_scenario(config_path, target_path=None):
         if not SUBSIDY_RANGE_EUR[0] <= value <= SUBSIDY_RANGE_EUR[1]
     ]
     if out_of_range:
-        warnings.warn(
-            f"{subsidy_path}: subsidy outside the study range "
-            f"{SUBSIDY_RANGE_EUR[0]:.0f}-{SUBSIDY_RANGE_EUR[1]:.0f} EUR in years: "
-            + ", ".join(str(y) for y in out_of_range),
-            UserWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"{subsidy_path}: subsidy outside the study range "
+                      f"{SUBSIDY_RANGE_EUR[0]:.0f}-{SUBSIDY_RANGE_EUR[1]:.0f} EUR in years: "
+                      + ", ".join(str(y) for y in out_of_range), stacklevel=2)
 
     target, loss = None, data.get("target_loss", LOSS_KINDS[0])
     if "target_series" in data:

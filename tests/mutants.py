@@ -383,6 +383,46 @@ MUTANTS = [
            '.removeprefix("\\ufeff")', "",
            "test_target_with_byte_order_mark_loads, test_series_with_byte_order_mark_loads"),
 
+    # the scenario YAML's and the decode's error lines
+    Mutant("yaml_error_line_one_late", "io.py",
+           "exc.problem_mark.line + 1", "exc.problem_mark.line + 2",
+           "test_yaml_that_does_not_parse_names_its_line_without_marks[syntax], "
+           "test_a_located_input_error_is_one_stderr_line[yaml_syntax]"),
+    Mutant("yaml_error_has_no_line", "io.py",
+           "raise ValidationError(message, line) from None",
+           "raise ValidationError(message) from None",
+           "test_yaml_that_does_not_parse_names_its_line_without_marks, "
+           "test_a_located_input_error_is_one_stderr_line[unsafe_tag]"),
+    Mutant("yaml_marks_kept", "io.py",
+           "message, line = exc.problem,", "message, line = str(exc),",
+           "test_yaml_that_does_not_parse_names_its_line_without_marks[syntax], "
+           "test_a_located_input_error_is_one_stderr_line[yaml_syntax]"),
+    Mutant("reader_error_has_no_line", "io.py",
+           "if isinstance(exc, yaml.reader.ReaderError):", "if False:",
+           "test_yaml_that_does_not_parse_names_its_line_without_marks"
+           "[control_character_after_non_ascii]"),
+    Mutant("reader_error_line_from_its_position", "io.py",
+           "stream.getvalue().partition(chr(exc.character))[0]",
+           "stream.getvalue()[:exc.position]",
+           "libyaml's position counts UTF-8 bytes: test_yaml_that_does_not_parse_names_its_line_"
+           "without_marks[control_character_after_non_ascii] (with the pure-Python parser the "
+           "position counts characters, and this mutant changes nothing)"),
+    Mutant("duplicate_key_line_one_late", "io.py",
+           "key_node.start_mark.line + 1", "key_node.start_mark.line + 2",
+           "TestLoadScenario::test_duplicate_key_rejected_naming_key_and_file"),
+    Mutant("integer_error_line_one_late", "io.py",
+           "node.start_mark.line + 1) from None", "node.start_mark.line + 2) from None",
+           "TestLoadScenario::test_unconvertible_integer_names_line_and_file"),
+    Mutant("decode_error_has_no_line", "io.py",
+           'BadValueError(str(exc), data.count(b"\\n", 0, exc.start) + 1)',
+           "BadValueError(str(exc))",
+           "test_decode_error_after_byte_order_mark_counts_it, "
+           "test_a_located_input_error_is_one_stderr_line[csv_not_utf8]"),
+    Mutant("decode_error_line_one_late", "io.py",
+           "exc.start) + 1)", "exc.start) + 2)",
+           "test_decode_error_after_byte_order_mark_counts_it, "
+           "test_non_utf8_past_8kb_gives_file_offset_and_line"),
+
     # the CLI
     Mutant("run_ignores_mode", "cli.py",
            '("mode", "seed", "adoption_semantics")', '("seed", "adoption_semantics")',
@@ -404,6 +444,16 @@ MUTANTS = [
     Mutant("beta_zero_accepted", "domain.py",
            "if not 0 < self.beta <= 1:", "if not 0 <= self.beta <= 1:",
            "test_invalid_fields_are_named[overrides1-beta]"),
+    Mutant("bool_accepted_as_a_real", "domain.py",
+           "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
+           "if not isinstance(value, numbers.Real):",
+           "test_a_real_field_takes_no_str_and_no_bool[YearSeries-bool], "
+           "test_a_real_field_takes_no_str_and_no_bool[CalibrationTarget-bool]"),
+    Mutant("str_accepted_as_a_real", "domain.py",
+           "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
+           "if isinstance(value, bool):",
+           "test_a_real_field_takes_no_str_and_no_bool[YearRecord-str], "
+           "test_a_real_field_takes_no_str_and_no_bool[ScenarioParams-str]"),
     Mutant("validation_error_not_a_value_error", "errors.py",
            "class ValidationError(DairyPvError, ValueError):",
            "class ValidationError(DairyPvError):",

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -179,6 +180,35 @@ def test_subsidy_outside_the_study_range_warns_on_one_stderr_line(tmp_path, caps
                            "range 1000-3500 EUR in years: 2005\n")
 
 
+@pytest.mark.parametrize("name, text, line", [
+    ("scenario.yaml", b"seed: [5\nbeta: 0.02\n", 2),
+    ("scenario.yaml", b"seed: !!python/object:os.system [echo]\n", 1),
+    ("scenario.yaml", "# café crème brûlée\nseed: \x01\n".encode(), 2),
+    ("scenario.yaml", b"seed: *anchor\n", 1),
+    ("scenario.yaml", b"total_farmers: 100\n", 1),
+    pytest.param("scenario.yaml", b"seed: 1" + b"0" * 5000 + b"\n", 1,
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this Python converts ints of any length")),
+    ("scenario.yaml", b"# caf\xe9\n", 1),
+    ("prices.csv", b"year,price_eur_per_kwh\n2005,0.14\n2006,0.1\xff\n", 3),
+    ("prices.csv", b"year,price_eur_per_kwh\n2005,0.14\n2006,abc\n", 3),
+    ("prices.csv", b"year,price_eur_per_kwh\n2005,0.14\n2007,0.16\n", 3),
+    ("prices.csv", b"year,price_eur_per_kwh\n2005,0.14\n2006," + b"1" * 131_073 + b"\n", 3),
+], ids=["yaml_syntax", "unsafe_tag", "control_character_after_non_ascii", "undefined_alias",
+        "duplicate_key", "5001_digit_integer", "yaml_not_utf8", "csv_not_utf8", "bad_value",
+        "year_gap", "field_past_the_csv_limit"])
+def test_a_located_input_error_is_one_stderr_line(tmp_path, name, text, line):
+    # appended to the scenario's own lines, or the whole CSV; line counts from the text
+    config = write_scenario(tmp_path)
+    path = tmp_path / name
+    before = path.read_bytes() if name == "scenario.yaml" else b""
+    path.write_bytes(before + text)
+    proc = run_cli("run", "--config", str(config))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    line += before.count(b"\n")
+    assert re.fullmatch(re.escape(f"error: {path}: line {line}: ") + r"[^\n]+\n", proc.stderr)
+
+
 @pytest.mark.parametrize("horizon, annuity", [(153, "1.0101010101008717e+306"), (200, "inf")],
                          ids=["153", "200"])
 @pytest.mark.parametrize("argv", [
@@ -322,6 +352,7 @@ class TestCalibrateCommand:
 
     def test_calibrate_to_the_observed_target_renders_360(self, default_config, capsys):
         # the fit is repeated in-process: the printed fit's 6 digits move the level to 359.999
+        # (test_the_printed_observed_fit_reruns_to_359_999)
         observed = default_scenario_path().parent / "target_2022_observed.csv"
         assert cli_main(["calibrate", "--config", default_config, "--target", str(observed)]) == 0
         params, prices, subsidies, target = load_scenario(default_config, observed)
@@ -331,6 +362,17 @@ class TestCalibrateCommand:
         run = run_simulation(replace(params, alpha=fit.alpha, beta=fit.beta), prices, subsidies)
         last = render_result(run).splitlines()[-1].split(",")
         assert (last[0], last[-1]) == ("2022", "360.00")
+
+    def test_the_printed_observed_fit_reruns_to_359_999(self, default_config, tmp_path, capsys):
+        # README's Calibration note: 6 printed digits are too coarse to give back the fit's 360
+        observed = default_scenario_path().parent / "target_2022_observed.csv"
+        assert cli_main(["calibrate", "--config", default_config, "--target", str(observed)]) == 0
+        fit = json.loads(capsys.readouterr().out)
+        assert (fit["alpha"], fit["beta"]) == (0.106246, 0.00219346)
+        config = bundled_config_copy(tmp_path, alpha=fit["alpha"], beta=fit["beta"])
+        assert cli_main(["run", "--config", str(config)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert (last[0], last[-1]) == ("2022", "359.999")
 
     def test_the_modelled_fit_sits_045_points_above_the_observed_target(self, default_config):
         observed = default_scenario_path().parent / "target_2022_observed.csv"
@@ -378,7 +420,8 @@ class TestCalibrateCommand:
 
     @pytest.mark.parametrize("text, message", [
         (b"year,cumulative_adopters\n2022,441\n2010,50\n", "line 3: years must increase"),
-        (b"year,cumulative_adopters\n2022,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"year,cumulative_adopters\n2022,\xff\n",
+         "line 2: 'utf-8' codec can't decode byte 0xff"),
         (b"year,cumulative_adopters\n2010,50\n2022," + b"4" * 131_073 + b"\n",
          "line 3: field larger than field limit (131072)"),
     ], ids=["years_decrease", "not_utf8", "field_past_the_csv_limit"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dairypv.calibration import CalibrationTarget
 from dairypv.domain import SimulationResult, YearRecord, YearSeries
 from dairypv.errors import CoverageGapError, ValidationError
 from conftest import make_params
@@ -175,6 +176,20 @@ class TestYearRecord:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             make_record(new=float("inf"))
+
+
+@pytest.mark.parametrize("value", ["0.14", True], ids=["str", "bool"])
+@pytest.mark.parametrize("build, field", [
+    (lambda value: make_params(pv_cost_min=value), "pv_cost_min"),
+    (lambda value: YearSeries(2005, (0.14, value)), "values[1]"),
+    (lambda value: CalibrationTarget(((2022, value),)), "observation[2022]"),
+    (lambda value: YearRecord(2005, value, 1000.0, 425.0, 0.01, 10.0, 10.0), "energy_price"),
+], ids=["ScenarioParams", "YearSeries", "CalibrationTarget", "YearRecord"])
+def test_a_real_field_takes_no_str_and_no_bool(build, field, value):
+    # one rule for a real number, require_finite's, in every type that stores one
+    with pytest.raises(ValidationError) as excinfo:
+        build(value)
+    assert str(excinfo.value) == f"{field} must be a real number, got {value!r}"
 
 
 class TestSimulationResult:

@@ -163,8 +163,11 @@ class TestLoadScenario:
     def test_duplicate_key_rejected_naming_key_and_file(self, tmp_path):
         path = write_scenario(tmp_path)
         path.write_text(path.read_text() + "beta: 0.5\nbeta: 0.02\n")
-        with pytest.raises(ValidationError, match=r"scenario\.yaml: duplicate key 'beta'"):
+        line = len(path.read_text().splitlines())
+        with pytest.raises(ValidationError) as excinfo:
             load_scenario(path)
+        assert str(excinfo.value) == f"{path}: line {line}: duplicate key 'beta'"
+        assert excinfo.value.line == line
 
     @pytest.mark.parametrize("value, message", [
         ("!!int 12abc", "invalid literal for int()"),
@@ -181,7 +184,37 @@ class TestLoadScenario:
         with pytest.raises(ValidationError) as excinfo:
             load_scenario(path)
         assert str(excinfo.value).startswith(
-            f"{path}: integer on line {line} cannot be read: {message}")
+            f"{path}: line {line}: integer cannot be read: {message}")
+        assert excinfo.value.line == line
+
+    @pytest.mark.parametrize("text, line", [
+        ("seed: [5\nbeta: 0.02\n", 2),
+        ("seed: !!python/object:os.system [echo]\n", 1),
+        ("# café crème brûlée\nseed: \x01\n", 2),  # libyaml counts bytes, not characters
+        ("seed: *anchor\n", 1),
+    ], ids=["syntax", "unsafe_tag", "control_character_after_non_ascii", "undefined_alias"])
+    def test_yaml_that_does_not_parse_names_its_line_without_marks(self, tmp_path, text, line):
+        path = write_scenario(tmp_path)
+        before = path.read_bytes()
+        path.write_bytes(before + text.encode())
+        line += before.count(b"\n")
+        with pytest.raises(ValidationError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value).startswith(f"{path}: line {line}: ")
+        assert "\n" not in str(excinfo.value)
+        assert excinfo.value.line == line
+
+    def test_yaml_error_with_no_mark_keeps_its_first_text_line(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path)
+
+        def unmarked(stream, Loader):
+            raise yaml.YAMLError("no mark\n  and a second line")
+
+        monkeypatch.setattr(yaml, "load", unmarked)
+        with pytest.raises(ValidationError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == f"{path}: no mark"
+        assert excinfo.value.line is None
 
     def test_missing_required_key(self, tmp_path):
         path = write_scenario(tmp_path)
@@ -218,8 +251,10 @@ class TestLoadScenario:
     def test_non_utf8_series_names_file(self, tmp_path):
         path = write_scenario(tmp_path)
         (tmp_path / "prices.csv").write_bytes(b"year,price_eur_per_kwh\n2005,0.14\xff\n")
-        with pytest.raises(BadValueError, match=r"prices\.csv: 'utf-8' codec can't decode"):
+        with pytest.raises(BadValueError,
+                           match=r"prices\.csv: line 2: 'utf-8' codec can't decode") as excinfo:
             load_scenario(path)
+        assert excinfo.value.line == 2
 
     @pytest.mark.parametrize("name", ["prices.csv", "scenario.yaml"])
     def test_non_utf8_past_8kb_gives_file_offset_and_line(self, tmp_path, name):
@@ -235,9 +270,9 @@ class TestLoadScenario:
         with pytest.raises((BadValueError, ValidationError)) as excinfo:
             load_scenario(path)
         assert str(excinfo.value).startswith(
-            f"{tmp_path / name}: 'utf-8' codec can't decode byte 0x{bad.hex()} "
+            f"{tmp_path / name}: line {line}: 'utf-8' codec can't decode byte 0x{bad.hex()} "
             f"in position {len(good)}:")
-        assert str(excinfo.value).endswith(f" (line {line})")
+        assert excinfo.value.line == line
 
     def test_coverage_gap_lists_missing_years(self, tmp_path):
         prices = "year,price_eur_per_kwh\n2006,0.15\n2007,0.16\n"
@@ -275,8 +310,9 @@ class TestLoadScenario:
         with pytest.raises(BadValueError) as excinfo:
             load_scenario(path)
         assert str(excinfo.value) == (
-            f"{tmp_path / 'prices.csv'}: 'utf-8' codec can't decode byte 0xff in position "
-            f"{len(good)}: invalid start byte (line 2)")
+            f"{tmp_path / 'prices.csv'}: line 2: 'utf-8' codec can't decode byte 0xff in "
+            f"position {len(good)}: invalid start byte")
+        assert excinfo.value.line == 2
 
     @pytest.mark.parametrize("broken", [None, "scenario.yaml", "prices.csv", "target.csv"])
     def test_each_input_file_is_read_once(self, tmp_path, monkeypatch, broken):
